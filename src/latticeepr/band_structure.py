@@ -238,12 +238,6 @@ class WannierBasis:
         """(N, n_grid) array of all translated Wannier functions."""
         return np.stack([self.site_function(j) for j in range(self.site_count)])
 
-    def evaluate(self, x) -> np.ndarray:
-        """chi_0 at arbitrary coordinates (periodic over N cells)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.exp(1j * np.outer(x, self.mode_freqs)) @ self.mode_amps
-        return vals.real
-
     def momentum_transform(self, p) -> np.ndarray:
         """Fourier transform chi~(p) = (2 pi)^(-1/2) int chi_0(x) e^{-ipx} dx."""
         p = np.atleast_1d(np.asarray(p, dtype=float))

@@ -25,10 +25,12 @@ from .constants import HBAR
 from .parameters import (
     ConfigError,
     ExperimentConfig,
+    ModelParams,
     SweepSettings,
     lithium_default,
     load_config,
     parameter_report,
+    recoil_energy,
     write_config,
 )
 
@@ -127,28 +129,28 @@ def write_manifest(
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _measurement_wannier(config: ExperimentConfig) -> band_structure.WannierBasis:
-    spectrum = band_structure.bloch_spectrum(
-        config.measurement_lattice_depth, n_k=config.site_count
-    )
+def _wannier_basis(config: ExperimentConfig, depth: float) -> band_structure.WannierBasis:
+    """Wannier functions of a lattice of depth ``depth`` (E_rec) on the
+    config's N sites and output grid."""
+    spectrum = band_structure.bloch_spectrum(depth, n_k=config.site_count)
     return band_structure.wannier(spectrum, points_per_cell=config.resolution)
 
 
-def _thermal_joints(config: ExperimentConfig):
-    """Position joint at the position-stage T, momentum joint at the
-    momentum-stage T, over the split-off pair band."""
-    model = config.model(boundary="periodic")
-    spectrum = two_atom.diagonalize(two_atom.build(model))
-    basis = _measurement_wannier(config)
-    pos_thermal = two_atom.thermal_state(
-        spectrum, config.temperature_position_k, model.recoil_energy
-    )
-    mom_thermal = two_atom.thermal_state(
-        spectrum, config.temperature_momentum_k, model.recoil_energy
-    )
-    pos = distributions.joint_from_thermal(pos_thermal, spectrum, basis, "position")
-    mom = distributions.joint_from_thermal(mom_thermal, spectrum, basis, "momentum")
-    return model, spectrum, basis, pos, mom
+def _thermal_joints(
+    config: ExperimentConfig,
+    model: ModelParams,
+    spectrum: two_atom.SpectrumResult,
+    t_pos: float,
+    t_mom: float,
+):
+    """Position joint at ``t_pos``, momentum joint at ``t_mom`` (kelvin),
+    over the split-off pair band, read out in the measurement lattice."""
+    basis = _wannier_basis(config, config.measurement_lattice_depth)
+    pos_w = two_atom.thermal_state(spectrum, t_pos, model.recoil_energy)
+    mom_w = two_atom.thermal_state(spectrum, t_mom, model.recoil_energy)
+    pos = distributions.thermal_position_joint(pos_w.states(spectrum), pos_w.weights, basis)
+    mom = distributions.thermal_momentum_joint(mom_w.states(spectrum), mom_w.weights, basis)
+    return pos, mom
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +174,7 @@ def cmd_bands(config: ExperimentConfig, out: Path) -> list[str]:
         ["k_per_a", "band0_erec", "band1_erec", "band2_erec"],
         band_structure.dispersion_csv_rows(spectrum),
     )
-    wspec = band_structure.bloch_spectrum(model.lattice_depth, n_k=config.site_count)
-    basis = band_structure.wannier(wspec, points_per_cell=config.resolution)
+    basis = _wannier_basis(config, model.lattice_depth)
     write_csv(
         out / "wannier.csv",
         ["x_a", "chi"],
@@ -184,15 +185,9 @@ def cmd_bands(config: ExperimentConfig, out: Path) -> list[str]:
 
 def cmd_liddi_scan(config: ExperimentConfig, out: Path) -> list[str]:
     phys = config.physical
-    erec = config.model().recoil_energy
-    field = liddi.LiddiField.from_atom(
-        phys.dipole_coupling,
-        phys.transition_freq_coupling,
-        phys.lambda_coupling,
-        phys.intensity_coupling,
-    )
+    erec = recoil_energy(phys.atom_mass, phys.lambda_lattice)
     offsets, energies = liddi.vdd_map(
-        field, phys.lattice_shift, phys.lattice_constant, config.site_count // 2
+        phys.coupling_field(), phys.lattice_shift, phys.lattice_constant, config.site_count // 2
     )
     write_csv(
         out / "liddi_scan.csv",
@@ -208,24 +203,17 @@ def cmd_spectrum(
     """Eigenvalue table; with --sweep, every branch versus the swept
     coupling (the split-off pair band emerges as the interaction grows)."""
     model = config.model()
-    if sweep_spec is None:
-        points = [("vdd", model.vdd, model)]
-    else:
+    points = [("vdd", model)]
+    if sweep_spec is not None:
         parameter, values = _parse_range(sweep_spec)
         if parameter not in ("vdd", "vhop"):
             raise ConfigError(
                 f"spectrum sweeps support vdd or vhop, got {parameter!r}"
             )
-        points = []
-        for value in values:
-            if parameter == "vdd":
-                varied = dataclasses.replace(model, vdd=-abs(value))
-                points.append((parameter, varied.vdd, varied))
-            else:
-                varied = dataclasses.replace(model, hop=-abs(value))
-                points.append((parameter, varied.hop, varied))
+        points = [(parameter, _vary_model(config, model, parameter, v)) for v in values]
     rows = []
-    for parameter, value, varied in points:
+    for parameter, varied in points:
+        value = varied.vdd if parameter == "vdd" else varied.hop
         spectrum = two_atom.diagonalize(two_atom.build(varied))
         rows.extend(
             (parameter, value, i, e) for i, e in enumerate(spectrum.eigenvalues)
@@ -239,7 +227,11 @@ def cmd_spectrum(
 
 
 def cmd_dist(config: ExperimentConfig, out: Path) -> list[str]:
-    model, spectrum, basis, pos, mom = _thermal_joints(config)
+    model = config.model(boundary="periodic")
+    spectrum = two_atom.diagonalize(two_atom.build(model))
+    pos, mom = _thermal_joints(
+        config, model, spectrum, config.temperature_position_k, config.temperature_momentum_k
+    )
     outputs = []
     write_matrix(
         out / "position_joint.dat",
@@ -302,8 +294,7 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
         band=prot.diatom_band_width,
     )
 
-    spectrum = band_structure.bloch_spectrum(model.lattice_depth, n_k=config.site_count)
-    basis = band_structure.wannier(spectrum, points_per_cell=config.resolution)
+    basis = _wannier_basis(config, model.lattice_depth)
 
     outputs = []
     rows = []
@@ -362,37 +353,100 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
     return outputs
 
 
-def _sweep_model(config: ExperimentConfig, parameter: str, value: float):
-    """Model (and effective temperatures) for one sweep point."""
-    model = config.model(boundary="periodic")
-    t_pos = config.temperature_position_k
-    t_mom = config.temperature_momentum_k
+def _vary_model(
+    config: ExperimentConfig, model: ModelParams, parameter: str, value: float
+) -> ModelParams:
+    """``model`` with one swept parameter (vdd, vhop, U0 or l) set to
+    ``value``; other parameters leave it unchanged.
+
+    The couplings are swept by magnitude and stay attractive (vdd) and
+    negative (vhop); ``0.0 - |value|`` keeps a zero coupling at +0.
+    """
     if parameter == "vdd":
-        model = dataclasses.replace(model, vdd=-abs(value))
-    elif parameter == "vhop":
-        model = dataclasses.replace(model, hop=-abs(value))
-    elif parameter == "U0":
-        spectrum = band_structure.bloch_spectrum(value)
-        hopping = band_structure.hopping_exact(spectrum)
-        model = dataclasses.replace(
+        return dataclasses.replace(model, vdd=0.0 - abs(value))
+    if parameter == "vhop":
+        return dataclasses.replace(model, hop=0.0 - abs(value))
+    if parameter == "U0":
+        hopping = band_structure.hopping_exact(band_structure.bloch_spectrum(value))
+        return dataclasses.replace(
             model,
             lattice_depth=value,
             hop=hopping.hop,
             tight_binding_valid=hopping.tight_binding_valid,
         )
-    elif parameter == "T":
-        t_pos = t_mom = value
-    elif parameter == "l":
+    if parameter == "l":
         phys = config.physical
-        field = liddi.LiddiField.from_atom(
-            phys.dipole_coupling,
-            phys.transition_freq_coupling,
-            phys.lambda_coupling,
-            phys.intensity_coupling,
-        )
-        vdd = liddi.vdd_nearest(field.coupling, phys.lambda_coupling, value)
-        model = dataclasses.replace(model, vdd=vdd / model.recoil_energy)
-    return model, t_pos, t_mom
+        vdd = liddi.vdd_nearest(phys.coupling_field().coupling, phys.lambda_coupling, value)
+        return dataclasses.replace(model, vdd=vdd / model.recoil_energy)
+    return model
+
+
+def _pair_row(config: ExperimentConfig, parameter: str, value: float, row: dict) -> None:
+    """Pair band and EPR widths of the periodic model at one sweep point."""
+    model = _vary_model(config, config.model(boundary="periodic"), parameter, value)
+    t_pos, t_mom = config.temperature_position_k, config.temperature_momentum_k
+    if parameter == "T":
+        t_pos = t_mom = value
+    row["vhop_erec"] = model.hop
+    row["vdd_erec"] = model.vdd
+    spectrum = two_atom.diagonalize(two_atom.build(model))
+    if len(spectrum.diatom_band) > 0:
+        lo, hi = spectrum.diatom_band_edges
+        row["diatom_min_erec"] = lo
+        row["diatom_max_erec"] = hi
+        row["split_gap_erec"] = spectrum.split_gap
+        pos, mom = _thermal_joints(config, model, spectrum, t_pos, t_mom)
+        metrics = distributions.epr_metrics(pos, mom)
+        row["dx_minus_a"] = metrics.dx_minus
+        row["dp_plus_hbar_per_a"] = metrics.dp_plus
+        row["s"] = metrics.s
+
+
+def _sigma_e_row(config: ExperimentConfig, parameter: str, value: float, row: dict) -> None:
+    """Thermal estimate of s for a cooled envelope of width ``value`` (a)."""
+    sigma = band_structure.gaussian_sigma(config.measurement_lattice_depth)
+    model = config.model(boundary="periodic")
+    row["vhop_erec"] = model.hop
+    row["vdd_erec"] = model.vdd
+    dp_si = distributions.thermal_dp_plus(
+        value * model.lattice_constant,
+        config.temperature_momentum_k,
+        config.physical.atom_mass,
+    )
+    dp = dp_si * model.lattice_constant / HBAR
+    row["dx_minus_a"] = sigma
+    row["dp_plus_hbar_per_a"] = dp
+    row["s"] = 1.0 / (2.0 * sigma * dp)
+
+
+def _slope_row(config: ExperimentConfig, parameter: str, value: float, row: dict) -> None:
+    """Final displacement ratio of the protocol run under tilt ``value``."""
+    prot = config.protocol
+    model = config.model(boundary=prot.boundary)
+    row["vhop_erec"] = model.hop
+    row["vdd_erec"] = model.vdd
+    tilt = two_atom.ExternalPotential.linear(value, species=prot.tilt_species)
+    psi0 = protocol.initial_state(prot.sigma_e_sites, prot.center_site, config.site_count)
+    trace = protocol.evolve(
+        psi0,
+        two_atom.build(model, tilt),
+        [prot.snapshot_times_s[-1]],
+        erec_joule=model.recoil_energy,
+        origin=prot.center_site,
+        band=prot.diatom_band_width,
+    )
+    row["displacement_ratio"] = trace.diagnostics[-1].displacement_ratio
+
+
+_SWEEP_ROWS = {
+    "vdd": _pair_row,
+    "vhop": _pair_row,
+    "U0": _pair_row,
+    "T": _pair_row,
+    "l": _pair_row,
+    "sigma_E": _sigma_e_row,
+    "slope": _slope_row,
+}
 
 
 def sweep_point(config: ExperimentConfig, parameter: str, value: float) -> list:
@@ -401,65 +455,14 @@ def sweep_point(config: ExperimentConfig, parameter: str, value: float) -> list:
     row["parameter"] = parameter
     row["value"] = value
     try:
-        if parameter == "sigma_E":
-            sigma = band_structure.gaussian_sigma(config.measurement_lattice_depth)
-            model = config.model(boundary="periodic")
-            row["vhop_erec"] = model.hop
-            row["vdd_erec"] = model.vdd
-            dp_si = distributions.thermal_dp_plus(
-                value * model.lattice_constant,
-                config.temperature_momentum_k,
-                config.physical.atom_mass,
-            )
-            dp = dp_si * model.lattice_constant / HBAR
-            row["dx_minus_a"] = sigma
-            row["dp_plus_hbar_per_a"] = dp
-            row["s"] = 1.0 / (2.0 * sigma * dp)
-        elif parameter == "slope":
-            prot = config.protocol
-            model = config.model(boundary=prot.boundary)
-            row["vhop_erec"] = model.hop
-            row["vdd_erec"] = model.vdd
-            tilt = two_atom.ExternalPotential.linear(value, species=prot.tilt_species)
-            psi0 = protocol.initial_state(
-                prot.sigma_e_sites, prot.center_site, config.site_count
-            )
-            trace = protocol.evolve(
-                psi0,
-                two_atom.build(model, tilt),
-                [prot.snapshot_times_s[-1]],
-                erec_joule=model.recoil_energy,
-                origin=prot.center_site,
-                band=prot.diatom_band_width,
-            )
-            row["displacement_ratio"] = trace.diagnostics[-1].displacement_ratio
-        else:
-            model, t_pos, t_mom = _sweep_model(config, parameter, value)
-            row["vhop_erec"] = model.hop
-            row["vdd_erec"] = model.vdd
-            spectrum = two_atom.diagonalize(two_atom.build(model))
-            if len(spectrum.diatom_band) > 0:
-                lo, hi = spectrum.diatom_band_edges
-                row["diatom_min_erec"] = lo
-                row["diatom_max_erec"] = hi
-                row["split_gap_erec"] = spectrum.split_gap
-                basis = _measurement_wannier(config)
-                pos_w = two_atom.thermal_state(spectrum, t_pos, model.recoil_energy)
-                mom_w = two_atom.thermal_state(spectrum, t_mom, model.recoil_energy)
-                pos = distributions.joint_from_thermal(pos_w, spectrum, basis, "position")
-                mom = distributions.joint_from_thermal(mom_w, spectrum, basis, "momentum")
-                metrics = distributions.epr_metrics(pos, mom)
-                row["dx_minus_a"] = metrics.dx_minus
-                row["dp_plus_hbar_per_a"] = metrics.dp_plus
-                row["s"] = metrics.s
+        _SWEEP_ROWS[parameter](config, parameter, value, row)
     except Exception as exc:  # per-point failure recorded, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
     return [row[name] for name in SWEEP_COLUMNS]
 
 
 def _sweep_worker(args):
-    config_dict, parameter, value = args
-    config = ExperimentConfig.from_dict(config_dict)
+    config, parameter, value = args
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return sweep_point(config, parameter, value)
@@ -481,19 +484,11 @@ def _parse_range(spec: str) -> tuple[str, np.ndarray]:
 def cmd_sweep(
     config: ExperimentConfig, out: Path, grid_spec: str | None, jobs: int
 ) -> list[str]:
-    sweep = config.sweep
-    if grid_spec is not None:
-        parameter, rng = grid_spec.split(None, 1) if " " in grid_spec else (grid_spec, None)
-        if rng is None:
-            raise ConfigError(f"sweep spec must be 'param start:stop:steps', got {grid_spec!r}")
-        try:
-            start, stop, steps = rng.split(":")
-            sweep = SweepSettings(parameter, float(start), float(stop), int(steps))
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep range {rng!r}: {exc}") from exc
-
-    values = sweep.grid()
-    tasks = [(config.to_dict(), sweep.parameter, float(v)) for v in values]
+    if grid_spec is None:
+        parameter, values = config.sweep.parameter, config.sweep.grid()
+    else:
+        parameter, values = _parse_range(grid_spec)
+    tasks = [(config, parameter, float(v)) for v in values]
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, tasks))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .band_structure import WannierBasis
 from .constants import HBAR, KB
-from .two_atom import ThermalWeights, TwoAtomState
+from .two_atom import TwoAtomState
 
 RECIPROCAL = 2.0 * np.pi  # momentum comb period, hbar/a units
 
@@ -65,30 +65,20 @@ def _position_amplitude(state: TwoAtomState, site_matrix: np.ndarray) -> np.ndar
     return site_matrix.T @ state.amplitudes @ site_matrix
 
 
-def position_joint(
-    state: TwoAtomState,
-    basis: WannierBasis,
-    points_per_cell: int | None = None,
-) -> JointDistribution:
+def position_joint(state: TwoAtomState, basis: WannierBasis) -> JointDistribution:
     """P(x1, x2) including the Wannier cross terms."""
-    return thermal_position_joint([state], [1.0], basis, points_per_cell)
+    return thermal_position_joint([state], [1.0], basis)
 
 
 def thermal_position_joint(
     states: Sequence[TwoAtomState],
     weights: Sequence[float],
     basis: WannierBasis,
-    points_per_cell: int | None = None,
 ) -> JointDistribution:
-    """Incoherent mixture of per-state joint position densities."""
-    res = points_per_cell or basis.points_per_cell
-    if res < 16:
-        raise ValueError(f"resolution below 16 points per cell: {res}")
-    if res != basis.points_per_cell:
-        raise ValueError(
-            "resolution must match the Wannier grid; rebuild the basis with "
-            f"points_per_cell={res}"
-        )
+    """Incoherent mixture of per-state joint position densities, on the
+    Wannier grid of ``basis``."""
+    if basis.points_per_cell < 16:
+        raise ValueError(f"resolution below 16 points per cell: {basis.points_per_cell}")
     site_matrix = basis.site_matrix()
     grid = basis.grid
     density = np.zeros((grid.size, grid.size))
@@ -135,15 +125,6 @@ def thermal_momentum_joint(
         amp = envelope[:, None] * structure * envelope[None, :]
         density += weight * np.abs(amp) ** 2
     return JointDistribution(p.copy(), p.copy(), density, "momentum")
-
-
-def joint_from_thermal(
-    thermal: ThermalWeights, spectrum, basis: WannierBasis, kind: str, **kwargs
-) -> JointDistribution:
-    states = thermal.states(spectrum)
-    if kind == "position":
-        return thermal_position_joint(states, thermal.weights, basis, **kwargs)
-    return thermal_momentum_joint(states, thermal.weights, basis, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +110,15 @@ class PhysicalParams:
         )
         return cls(**kwargs)
 
+    def coupling_field(self) -> liddi.LiddiField:
+        """The coupling laser's field and its interaction scale V_C."""
+        return liddi.LiddiField.from_atom(
+            self.dipole_coupling,
+            self.transition_freq_coupling,
+            self.lambda_coupling,
+            self.intensity_coupling,
+        )
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -154,11 +163,7 @@ class ModelParams:
 
 
 def to_model(
-    phys: PhysicalParams,
-    site_count: int = 25,
-    boundary: str = "periodic",
-    n_planewaves: int = 33,
-    n_k: int = 64,
+    phys: PhysicalParams, site_count: int = 25, boundary: str = "periodic"
 ) -> ModelParams:
     """Reduce SI inputs to the dimensionless tight-binding model.
 
@@ -168,15 +173,9 @@ def to_model(
     """
     erec = recoil_energy(phys.atom_mass, phys.lambda_lattice)
     u0 = lattice_depth(phys.intensity_lattice, phys.dipole_lattice, phys.detuning_lattice) / erec
-    spectrum = band_structure.bloch_spectrum(u0, n_planewaves=n_planewaves, n_k=n_k)
-    hopping = band_structure.hopping_exact(spectrum)
-    fieldC = liddi.LiddiField.from_atom(
-        phys.dipole_coupling,
-        phys.transition_freq_coupling,
-        phys.lambda_coupling,
-        phys.intensity_coupling,
-    )
-    vdd = liddi.vdd_nearest(fieldC.coupling, phys.lambda_coupling, phys.lattice_shift) / erec
+    hopping = band_structure.hopping_exact(band_structure.bloch_spectrum(u0))
+    coupling = phys.coupling_field().coupling
+    vdd = liddi.vdd_nearest(coupling, phys.lambda_coupling, phys.lattice_shift) / erec
     return ModelParams(
         recoil_energy=erec,
         lattice_depth=u0,
@@ -288,54 +287,78 @@ class ExperimentConfig:
         return cls(**data)
 
 
-# Section -> key -> (converter, target field).  Converters take the raw
-# string; unit conversions to SI happen here so the config stays readable.
-_CONFIG_SCHEMA: dict[str, dict[str, tuple]] = {
-    "atom": {
-        "mass_kg": (float, "atom_mass"),
-    },
-    "lattice": {
-        "lambda_lattice_nm": (lambda s: float(s) * 1e-9, "lambda_lattice"),
-        "intensity_lattice_w_per_m2": (float, "intensity_lattice"),
-        "dipole_lattice_coulomb_m": (float, "dipole_lattice"),
-        "detuning_lattice_rad_per_s": (float, "detuning_lattice"),
-    },
-    "coupling": {
-        "lambda_coupling_nm": (lambda s: float(s) * 1e-9, "lambda_coupling"),
-        "intensity_coupling_w_per_m2": (float, "intensity_coupling"),
-        "dipole_coupling_coulomb_m": (float, "dipole_coupling"),
-        "detuning_coupling_rad_per_s": (float, "detuning_coupling"),
-        "lattice_shift_nm": (lambda s: float(s) * 1e-9, "lattice_shift"),
-    },
-    "model": {
-        "site_count": (int, "site_count"),
-        "boundary": (str, "boundary"),
-        "measurement_lattice_depth_erec": (float, "measurement_lattice_depth"),
-        "temperature_position_nk": (lambda s: float(s) * 1e-9, "temperature_position_k"),
-        "temperature_momentum_nk": (lambda s: float(s) * 1e-9, "temperature_momentum_k"),
-    },
-    "protocol": {
-        "sigma_e_sites": (float, "sigma_e_sites"),
-        "center_site": (int, "center_site"),
-        "slope_erec_per_site": (float, "slope_erec_per_site"),
-        "tilt_species": (str, "tilt_species"),
-        "snapshot_times_s": (
-            lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
-            "snapshot_times_s",
-        ),
-        "ejection_line_site": (float, "ejection_line_site"),
-        "boundary": (str, "boundary"),
-        "diatom_band_width": (int, "diatom_band_width"),
-    },
-    "output": {
-        "resolution_points_per_cell": (int, "resolution"),
-    },
-    "sweep": {
-        "parameter": (str, "parameter"),
-        "start": (float, "start"),
-        "stop": (float, "stop"),
-        "steps": (int, "steps"),
-    },
+def _scaled_repr(value: float, scale: float) -> str:
+    """Decimal string s with float(s) * scale == value exactly.
+
+    The config stores nm/nK-scaled numbers; plain division can miss the
+    original float by an ulp, so nudge the candidate until the product
+    round-trips.
+    """
+    candidate = value / scale
+    for _ in range(4):
+        if float(repr(candidate)) * scale == value:
+            return repr(candidate)
+        direction = np.inf if float(repr(candidate)) * scale < value else -np.inf
+        candidate = float(np.nextafter(candidate, direction))
+    return repr(value / scale)
+
+
+# Value types of the INI file: (parse the raw string, format the field).
+# _NANO keys hold SI lengths and temperatures in nm / nK.
+_FLOAT = (float, repr)
+_INT = (int, str)
+_STR = (str, str)
+_NANO = (lambda s: float(s) * 1e-9, lambda v: _scaled_repr(v, 1e-9))
+_TIMES = (
+    lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
+    lambda v: " ".join(repr(t) for t in v),
+)
+
+# Section -> (owning attribute of ExperimentConfig, or None for the config
+# itself; key -> (target field, value type)).
+_CONFIG_SCHEMA: dict[str, tuple[str | None, dict[str, tuple]]] = {
+    "atom": ("physical", {
+        "mass_kg": ("atom_mass", _FLOAT),
+    }),
+    "lattice": ("physical", {
+        "lambda_lattice_nm": ("lambda_lattice", _NANO),
+        "intensity_lattice_w_per_m2": ("intensity_lattice", _FLOAT),
+        "dipole_lattice_coulomb_m": ("dipole_lattice", _FLOAT),
+        "detuning_lattice_rad_per_s": ("detuning_lattice", _FLOAT),
+    }),
+    "coupling": ("physical", {
+        "lambda_coupling_nm": ("lambda_coupling", _NANO),
+        "intensity_coupling_w_per_m2": ("intensity_coupling", _FLOAT),
+        "dipole_coupling_coulomb_m": ("dipole_coupling", _FLOAT),
+        "detuning_coupling_rad_per_s": ("detuning_coupling", _FLOAT),
+        "lattice_shift_nm": ("lattice_shift", _NANO),
+    }),
+    "model": (None, {
+        "site_count": ("site_count", _INT),
+        "boundary": ("boundary", _STR),
+        "measurement_lattice_depth_erec": ("measurement_lattice_depth", _FLOAT),
+        "temperature_position_nk": ("temperature_position_k", _NANO),
+        "temperature_momentum_nk": ("temperature_momentum_k", _NANO),
+    }),
+    "protocol": ("protocol", {
+        "sigma_e_sites": ("sigma_e_sites", _FLOAT),
+        "center_site": ("center_site", _INT),
+        "slope_erec_per_site": ("slope_erec_per_site", _FLOAT),
+        "tilt_species": ("tilt_species", _STR),
+        "snapshot_times_s": ("snapshot_times_s", _TIMES),
+        "ejection_line_site": ("ejection_line_site", _FLOAT),
+        "boundary": ("boundary", _STR),
+        "diatom_band_width": ("diatom_band_width", _INT),
+    }),
+    "output": (None, {
+        "resolution_points_per_cell": ("resolution", _INT),
+    }),
+    "sweep": ("sweep", {
+        "parameter": ("parameter", _STR),
+        "start": ("start", _FLOAT),
+        "stop": ("stop", _FLOAT),
+        "steps": ("steps", _INT),
+    }),
 }
 
 
@@ -367,14 +390,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if section not in _CONFIG_SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _CONFIG_SCHEMA[section]:
+            keys = _CONFIG_SCHEMA[section][1]
+            if key not in keys:
                 line = _key_line(text, key)
                 raise ConfigError(
                     f"{path}:{line}: unknown key '{key}' in section [{section}]"
                 )
-            convert, target = _CONFIG_SCHEMA[section][key]
+            target, (parse, _) = keys[key]
             try:
-                values[section][target] = convert(raw)
+                values[section][target] = parse(raw)
             except ValueError as exc:
                 line = _key_line(text, key)
                 raise ConfigError(f"{path}:{line}: bad value for '{key}': {raw!r}") from exc
@@ -382,7 +406,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     required = {"atom", "lattice", "coupling"}
     for section in required:
         missing = {
-            target for _, target in _CONFIG_SCHEMA[section].values()
+            target for target, _ in _CONFIG_SCHEMA[section][1].values()
         } - set(values[section])
         if missing:
             raise ConfigError(f"{path}: section [{section}] missing keys for {sorted(missing)}")
@@ -426,74 +450,17 @@ def lithium_default() -> ExperimentConfig:
     return ExperimentConfig(physical=phys)
 
 
-def _scaled_repr(value: float, scale: float) -> str:
-    """Decimal string s with float(s) * scale == value exactly.
-
-    The config stores nm/nK-scaled numbers; plain division can miss the
-    original float by an ulp, so nudge the candidate until the product
-    round-trips.
-    """
-    candidate = value / scale
-    for _ in range(4):
-        if float(repr(candidate)) * scale == value:
-            return repr(candidate)
-        direction = np.inf if float(repr(candidate)) * scale < value else -np.inf
-        candidate = np.nextafter(candidate, direction)
-    return repr(value / scale)
-
-
 def write_config(config: ExperimentConfig, path: str | Path) -> None:
     """Write a config back out as INI (inverse of :func:`load_config`)."""
-    phys = config.physical
-    prot = config.protocol
-    sweep = config.sweep
-    lines = [
-        "# latticeepr experiment configuration (all keys carry SI unit suffixes)",
-        "",
-        "[atom]",
-        f"mass_kg = {phys.atom_mass!r}",
-        "",
-        "[lattice]",
-        f"lambda_lattice_nm = {_scaled_repr(phys.lambda_lattice, 1e-9)}",
-        f"intensity_lattice_w_per_m2 = {phys.intensity_lattice!r}",
-        f"dipole_lattice_coulomb_m = {phys.dipole_lattice!r}",
-        f"detuning_lattice_rad_per_s = {phys.detuning_lattice!r}",
-        "",
-        "[coupling]",
-        f"lambda_coupling_nm = {_scaled_repr(phys.lambda_coupling, 1e-9)}",
-        f"intensity_coupling_w_per_m2 = {phys.intensity_coupling!r}",
-        f"dipole_coupling_coulomb_m = {phys.dipole_coupling!r}",
-        f"detuning_coupling_rad_per_s = {phys.detuning_coupling!r}",
-        f"lattice_shift_nm = {_scaled_repr(phys.lattice_shift, 1e-9)}",
-        "",
-        "[model]",
-        f"site_count = {config.site_count}",
-        f"boundary = {config.boundary}",
-        f"measurement_lattice_depth_erec = {config.measurement_lattice_depth!r}",
-        f"temperature_position_nk = {_scaled_repr(config.temperature_position_k, 1e-9)}",
-        f"temperature_momentum_nk = {_scaled_repr(config.temperature_momentum_k, 1e-9)}",
-        "",
-        "[protocol]",
-        f"sigma_e_sites = {prot.sigma_e_sites!r}",
-        f"center_site = {prot.center_site}",
-        f"slope_erec_per_site = {prot.slope_erec_per_site!r}",
-        f"tilt_species = {prot.tilt_species}",
-        "snapshot_times_s = " + " ".join(repr(t) for t in prot.snapshot_times_s),
-        f"ejection_line_site = {prot.ejection_line_site!r}",
-        f"boundary = {prot.boundary}",
-        f"diatom_band_width = {prot.diatom_band_width}",
-        "",
-        "[output]",
-        f"resolution_points_per_cell = {config.resolution}",
-        "",
-        "[sweep]",
-        f"parameter = {sweep.parameter}",
-        f"start = {sweep.start!r}",
-        f"stop = {sweep.stop!r}",
-        f"steps = {sweep.steps}",
-        "",
-    ]
-    Path(path).write_text("\n".join(lines))
+    lines = ["# latticeepr experiment configuration (all keys carry SI unit suffixes)"]
+    for section, (owner, keys) in _CONFIG_SCHEMA.items():
+        source = config if owner is None else getattr(config, owner)
+        lines += ["", f"[{section}]"]
+        lines += [
+            f"{key} = {fmt(getattr(source, target))}"
+            for key, (target, (_, fmt)) in keys.items()
+        ]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def parameter_report(config: ExperimentConfig) -> dict:
@@ -503,12 +470,7 @@ def parameter_report(config: ExperimentConfig) -> dict:
     spectrum = band_structure.bloch_spectrum(model.lattice_depth)
     hopping = band_structure.hopping_exact(spectrum)
     sigma_g = band_structure.gaussian_sigma(model.lattice_depth)
-    fieldC = liddi.LiddiField.from_atom(
-        phys.dipole_coupling,
-        phys.transition_freq_coupling,
-        phys.lambda_coupling,
-        phys.intensity_coupling,
-    )
+    fieldC = phys.coupling_field()
     alpha = liddi.polarizability(
         phys.dipole_coupling, phys.transition_freq_coupling, phys.omega_coupling
     )
@@ -543,8 +505,3 @@ def parameter_report(config: ExperimentConfig) -> dict:
 
 def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Functional update helper (dataclasses are frozen)."""
-    return replace(config, **kwargs)

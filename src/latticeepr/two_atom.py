@@ -103,16 +103,6 @@ class TwoAtomState:
         """Probability of finding the atoms on facing sites, sum_j |c_jj|^2."""
         return float(np.sum(np.abs(np.diag(self.amplitudes)) ** 2))
 
-    def band_weight(self, band: int = 1) -> float:
-        """Probability within |j - l| <= band."""
-        n = self.site_count
-        j, l = np.indices((n, n))
-        mask = np.abs(j - l) <= band
-        return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
-
-    def swapped(self) -> "TwoAtomState":
-        return TwoAtomState(self.amplitudes.T.copy())
-
 
 @dataclass(frozen=True)
 class TwoAtomHamiltonian:
@@ -131,11 +121,6 @@ class TwoAtomHamiltonian:
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray() if self.is_sparse else self.matrix
-
-    def apply(self, state: TwoAtomState) -> np.ndarray:
-        return (self.matrix @ state.vector()).reshape(
-            state.site_count, state.site_count
-        )
 
     def expectation(self, state: TwoAtomState) -> float:
         vec = state.vector()
@@ -216,9 +201,6 @@ class SpectrumResult:
 
     def state(self, index: int) -> TwoAtomState:
         return TwoAtomState(self.eigenvectors[index])
-
-    def diatom_states(self) -> list[TwoAtomState]:
-        return [self.state(i) for i in self.diatom_band]
 
     @property
     def diatom_band_edges(self) -> tuple[float, float]:

@@ -116,6 +116,10 @@ def operating_joints(lithium_config, wannier_measure):
     mom_w = two_atom.thermal_state(
         spectrum, lithium_config.temperature_momentum_k, model.recoil_energy
     )
-    pos = distributions.joint_from_thermal(pos_w, spectrum, wannier_measure, "position")
-    mom = distributions.joint_from_thermal(mom_w, spectrum, wannier_measure, "momentum")
+    pos = distributions.thermal_position_joint(
+        pos_w.states(spectrum), pos_w.weights, wannier_measure
+    )
+    mom = distributions.thermal_momentum_joint(
+        mom_w.states(spectrum), mom_w.weights, wannier_measure
+    )
     return model, spectrum, pos, mom

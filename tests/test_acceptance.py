@@ -289,8 +289,9 @@ def test_criterion_8_s_trend_and_operating_point(
     temperatures = (5e-9, 2e-8, 5e-8, 1e-7, 2e-7)
     for temperature in temperatures:
         thermal = ta.thermal_state(spectrum, temperature, lithium_model.recoil_energy)
-        pos = dist.joint_from_thermal(thermal, spectrum, wannier_measure, "position")
-        mom = dist.joint_from_thermal(thermal, spectrum, wannier_measure, "momentum")
+        states = thermal.states(spectrum)
+        pos = dist.thermal_position_joint(states, thermal.weights, wannier_measure)
+        mom = dist.thermal_momentum_joint(states, thermal.weights, wannier_measure)
         s_values.append(dist.epr_metrics(pos, mom).s)
     decreasing = all(b < a * 1.001 for a, b in zip(s_values, s_values[1:]))
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latticeepr import band_structure, distributions
+from latticeepr.constants import HBAR
 from latticeepr.parameters import ExperimentConfig, lithium_default, write_config
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "lithium.ini"
@@ -24,6 +26,19 @@ def run_cli(*args, check=True):
             f"cli failed ({result.returncode}):\n{result.stdout}\n{result.stderr}"
         )
     return result
+
+
+def sweep_rows(out):
+    lines = (out / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+@pytest.fixture(scope="module")
+def dist_metrics(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dist")
+    run_cli("--config", str(CONFIG), "--out", str(out), "dist")
+    return json.loads((out / "epr_metrics.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +167,10 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3
 
-    def test_single_point_matches_direct(self, tmp_path, lithium_model):
+    def test_single_point_matches_direct(self, tmp_path, lithium_model, dist_metrics):
         # a one-point sweep at the configured interaction reproduces the
         # direct `dist` metrics on the same grids
-        run_cli("--config", str(CONFIG), "--out", str(tmp_path / "d"), "dist")
-        metrics = json.loads((tmp_path / "d" / "epr_metrics.json").read_text())
+        metrics = dist_metrics
         run_cli(
             "--config", str(CONFIG), "--out", str(tmp_path / "s"),
             "sweep", f"vdd {-lithium_model.vdd}:{-lithium_model.vdd}:1",
@@ -165,6 +179,84 @@ class TestSweep:
         assert float(row[7]) == pytest.approx(metrics["dx_minus"], rel=1e-9)
         assert float(row[8]) == pytest.approx(metrics["dp_plus"], rel=1e-9)
         assert float(row[9]) == pytest.approx(metrics["s"], rel=1e-9)
+
+    def test_hopping_point_matches_direct(self, tmp_path, lithium_model, dist_metrics):
+        hop = -lithium_model.hop
+        run_cli(
+            "--config", str(CONFIG), "--out", str(tmp_path), "sweep", f"vhop {hop}:{hop}:1"
+        )
+        (row,) = sweep_rows(tmp_path)
+        assert float(row["vhop_erec"]) == pytest.approx(lithium_model.hop, rel=1e-9)
+        assert float(row["dx_minus_a"]) == pytest.approx(dist_metrics["dx_minus"], rel=1e-9)
+        assert float(row["dp_plus_hbar_per_a"]) == pytest.approx(
+            dist_metrics["dp_plus"], rel=1e-9
+        )
+        assert float(row["s"]) == pytest.approx(dist_metrics["s"], rel=1e-9)
+
+    def test_temperature_sweep_matches_direct(self, tmp_path, dist_metrics):
+        # `dist` reads positions at 10 nK and momenta at 100 nK; a T sweep
+        # uses one temperature for both, so row 1 carries the position width
+        # and row 2 the momentum width of the direct run
+        run_cli("--config", str(CONFIG), "--out", str(tmp_path), "sweep", "T 1e-8:1e-7:2")
+        cold, warm = sweep_rows(tmp_path)
+        assert float(cold["dx_minus_a"]) == pytest.approx(dist_metrics["dx_minus"], rel=1e-9)
+        assert float(warm["dp_plus_hbar_per_a"]) == pytest.approx(
+            dist_metrics["dp_plus"], rel=1e-9
+        )
+
+    def test_slope_point_matches_protocol(self, tmp_path):
+        run_cli(
+            "--config", str(CONFIG), "--out", str(tmp_path / "p"), "--resolution", "16",
+            "protocol",
+        )
+        final = (tmp_path / "p" / "protocol_diagnostics.csv").read_text().splitlines()[-1]
+        run_cli(
+            "--config", str(CONFIG), "--out", str(tmp_path / "s"),
+            "sweep", "slope 0.04:0.04:1",
+        )
+        (row,) = sweep_rows(tmp_path / "s")
+        assert float(row["displacement_ratio"]) == pytest.approx(
+            float(final.split(",")[-1]), rel=1e-9
+        )
+
+    def test_envelope_sweep_thermal_estimate(self, tmp_path, lithium_model):
+        config = lithium_default()
+        run_cli(
+            "--config", str(CONFIG), "--out", str(tmp_path), "sweep", "sigma_E 2:8:3"
+        )
+        rows = sweep_rows(tmp_path)
+        assert [float(r["value"]) for r in rows] == [2.0, 5.0, 8.0]
+        sigma = band_structure.gaussian_sigma(config.measurement_lattice_depth)
+        a = lithium_model.lattice_constant
+        for row in rows:
+            sigma_e = float(row["value"])
+            dp = distributions.thermal_dp_plus(
+                sigma_e * a, config.temperature_momentum_k, config.physical.atom_mass
+            ) * a / HBAR
+            assert float(row["dx_minus_a"]) == pytest.approx(sigma, rel=1e-9)
+            assert float(row["dp_plus_hbar_per_a"]) == pytest.approx(dp, rel=1e-9)
+            assert float(row["s"]) == pytest.approx(1.0 / (2.0 * sigma * dp), rel=1e-9)
+            assert float(row["s"]) == pytest.approx(
+                distributions.s_thermal_estimate(
+                    sigma_e, sigma, config.temperature_momentum_k, lithium_model.recoil_energy
+                ),
+                rel=1e-9,
+            )
+
+    @pytest.mark.parametrize(
+        "args, artifact",
+        [
+            (("spectrum", "--sweep", "vdd 0:0:1"), "spectrum.csv"),
+            (("spectrum", "--sweep", "vhop 0:0:1"), "spectrum.csv"),
+            (("sweep", "vdd 0:0:1"), "sweep.csv"),
+        ],
+    )
+    def test_zero_coupling_written_as_zero(self, tmp_path, args, artifact):
+        run_cli("--config", str(CONFIG), "--out", str(tmp_path), *args)
+        lines = (tmp_path / artifact).read_text().splitlines()[1:]
+        cells = [cell for line in lines for cell in line.split(",")]
+        assert "-0" not in cells
+        assert all(line.split(",")[1] == "0" for line in lines)
 
 
 class TestDeterminism:
@@ -180,6 +272,20 @@ class TestDeterminism:
             outs.append(out)
         for name in ("dispersion.csv", "wannier.csv", "liddi_scan.csv", "sweep.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_process_pool_matches_serial(self, tmp_path):
+        tables = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            run_cli(
+                "--config", str(CONFIG), "--out", str(out), "--jobs", jobs,
+                "sweep", "vdd 0.5:2.5:4",
+            )
+            tables.append((out / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+        rows = tables[0].decode().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.endswith(",") for row in rows)  # no point failed
 
 
 class TestExitCodes:
@@ -223,3 +329,4 @@ class TestExitCodes:
         from latticeepr.parameters import load_config
 
         assert load_config(target) == lithium_default()
+        assert target.read_bytes() == CONFIG.read_bytes()

@@ -248,7 +248,9 @@ class TestEprMetrics:
         widths = []
         for temperature in (10e-9, 100e-9):
             thermal = ta.thermal_state(spectrum, temperature, model.recoil_energy)
-            mom = dist.joint_from_thermal(thermal, spectrum, wannier393, "momentum")
+            mom = dist.thermal_momentum_joint(
+                thermal.states(spectrum), thermal.weights, wannier393
+            )
             widths.append(dist.central_peak_width(dist.sum_marginal(mom)).hwhm)
         assert widths[1] > 1.5 * widths[0]
 

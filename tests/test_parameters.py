@@ -125,6 +125,20 @@ class TestConfigFile:
         write_config(lithium_config, path)
         assert load_config(path) == lithium_config
 
+    def test_write_values_without_exact_nm_form(self, tmp_path, lithium_config):
+        # no float x has x * 1e-9 == 1.314e-08 (or 1.1242e-08): the writer
+        # must still write them, as the nearest nm / nK value
+        config = dataclasses.replace(
+            lithium_config,
+            physical=dataclasses.replace(lithium_config.physical, lattice_shift=1.314e-08),
+            temperature_position_k=1.1242e-08,
+        )
+        path = tmp_path / "exp.ini"
+        write_config(config, path)
+        loaded = load_config(path)
+        assert loaded.physical.lattice_shift == pytest.approx(1.314e-08, rel=1e-15)
+        assert loaded.temperature_position_k == pytest.approx(1.1242e-08, rel=1e-15)
+
     def test_dict_round_trip(self, lithium_config):
         data = lithium_config.to_dict()
         assert ExperimentConfig.from_dict(data) == lithium_config
