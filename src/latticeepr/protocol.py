@@ -244,5 +244,5 @@ def bound_band_projection(state: TwoAtomState, spectrum: SpectrumResult) -> floa
     total = 0.0
     vec = state.vector()
     for i in spectrum.diatom_band:
-        total += abs(np.vdot(spectrum.eigenvectors[i].ravel(), vec)) ** 2
+        total += abs(np.vdot(spectrum.state(i).vector(), vec)) ** 2
     return float(total)

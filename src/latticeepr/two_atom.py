@@ -4,6 +4,11 @@ Basis: the N x N product Wannier states |chi_j (atom 1)> |chi_l (atom 2)>,
 flattened row-major (index = j * N + l).  Energies in E_rec, on-site band
 energy H_0 set to zero (a global offset).  The dipole-dipole interaction
 acts only when the atoms face each other, j == l.
+
+On a ring without external potential the total quasimomentum K = 2 pi m / N
+is conserved, and ``diagonalize`` solves the N blocks of fixed K, each N x N,
+instead of the N^2 x N^2 matrix (Valiente & Petrosyan, J. Phys. B 41,
+161002 (2008)).
 """
 
 from __future__ import annotations
@@ -12,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .constants import KB
 from .parameters import ModelParams
-
-DENSE_SITE_LIMIT = 40  # N^2 x N^2 dense solve up to 1600 x 1600
 
 
 @dataclass(frozen=True)
@@ -106,25 +107,32 @@ class TwoAtomState:
 
 @dataclass(frozen=True)
 class TwoAtomHamiltonian:
-    """Assembled two-atom matrix plus the scalars that built it."""
+    """The scalars that define the two-atom Hamiltonian."""
 
-    matrix: np.ndarray | scipy.sparse.spmatrix
     site_count: int
     hop: float
     vdd: float
     boundary: str
     external: ExternalPotential
 
-    @property
-    def is_sparse(self) -> bool:
-        return scipy.sparse.issparse(self.matrix)
-
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray() if self.is_sparse else self.matrix
+        """H = H_lat x 1 + 1 x H_lat + V_dd sum_j |jj><jj| + external, as
+        an N^2 x N^2 matrix in the product basis."""
+        n = self.site_count
+        single = single_atom_matrix(n, self.hop, self.boundary)
+        site_e = self.external.site_energies(n, self.hop)
+        e1 = site_e if self.external.species in ("both", "first") else np.zeros(n)
+        e2 = site_e if self.external.species in ("both", "second") else np.zeros(n)
+        eye = np.eye(n)
+        matrix = np.kron(single, eye) + np.kron(eye, single)
+        matrix[np.diag_indices(n * n)] += np.add.outer(e1, e2).ravel()
+        pair = np.arange(n) * n + np.arange(n)  # facing-site states j == l
+        matrix[pair, pair] += self.vdd
+        return matrix
 
     def expectation(self, state: TwoAtomState) -> float:
         vec = state.vector()
-        return float(np.real(np.vdot(vec, self.matrix @ vec)))
+        return float(np.real(np.vdot(vec, self.dense() @ vec)))
 
 
 def single_atom_matrix(site_count: int, hop: float, boundary: str) -> np.ndarray:
@@ -141,66 +149,71 @@ def single_atom_matrix(site_count: int, hop: float, boundary: str) -> np.ndarray
     return m
 
 
-def build(
-    model: ModelParams,
-    external: ExternalPotential | None = None,
-    sparse: bool | None = None,
-) -> TwoAtomHamiltonian:
-    """Assemble H = H_lat x 1 + 1 x H_lat + V_dd sum_j |jj><jj| + external."""
-    n = model.site_count
-    external = external or ExternalPotential.none()
-    if sparse is None:
-        sparse = n > DENSE_SITE_LIMIT
-
-    single = single_atom_matrix(n, model.hop, model.boundary)
-    site_e = external.site_energies(n, model.hop)
-    e1 = site_e if external.species in ("both", "first") else np.zeros(n)
-    e2 = site_e if external.species in ("both", "second") else np.zeros(n)
-
-    if sparse:
-        sp_single = scipy.sparse.csr_matrix(single)
-        eye = scipy.sparse.identity(n, format="csr")
-        matrix = scipy.sparse.kron(sp_single, eye) + scipy.sparse.kron(eye, sp_single)
-        diag = (
-            model.vdd * np.eye(n).ravel()
-            + np.add.outer(e1, e2).ravel()
+def build(model: ModelParams, external: ExternalPotential | None = None) -> TwoAtomHamiltonian:
+    """Two-atom Hamiltonian of ``model`` plus an optional external potential;
+    ValueError where ``model.tight_binding_valid`` is False."""
+    if not model.tight_binding_valid:
+        raise ValueError(
+            f"tight-binding model does not hold at lattice depth {model.lattice_depth:.4g} E_rec"
         )
-        matrix = (matrix + scipy.sparse.diags(diag)).tocsr()
-    else:
-        if n > DENSE_SITE_LIMIT:
-            raise ValueError(
-                f"dense two-atom matrix for N={n} is {n * n}x{n * n}; "
-                "pass sparse=True"
-            )
-        eye = np.eye(n)
-        matrix = np.kron(single, eye) + np.kron(eye, single)
-        matrix[np.diag_indices(n * n)] += np.add.outer(e1, e2).ravel()
-        pair = np.arange(n) * n + np.arange(n)  # facing-site states j == l
-        matrix[pair, pair] += model.vdd
-
     return TwoAtomHamiltonian(
-        matrix=matrix,
-        site_count=n,
+        site_count=model.site_count,
         hop=model.hop,
         vdd=model.vdd,
         boundary=model.boundary,
-        external=external,
+        external=external or ExternalPotential.none(),
     )
+
+
+def _symmetry_blocks(hamiltonian: TwoAtomHamiltonian) -> tuple[np.ndarray, np.ndarray | None]:
+    """Diagonal blocks of H and the total quasimomentum K of each.
+
+    On a free ring c_jl = e^{iK(j+l)/2} g(l - j) / sqrt(N) gives one real
+    block per K: relative hopping 2 V_hop cos(K/2), V_dd at r = 0, and the
+    sign (-1)^m = e^{iKN/2} on the hop that wraps from r = N - 1 to r = 0.
+    Any other model is one block, the dense matrix, with K None.
+    """
+    n = hamiltonian.site_count
+    if hamiltonian.boundary != "periodic" or hamiltonian.external.kind != "none":
+        return hamiltonian.dense()[None], None
+    m = np.arange(n)
+    k = 2.0 * np.pi * m / n
+    relative_hop = 2.0 * hamiltonian.hop * np.cos(k / 2.0)
+    blocks = np.zeros((n, n, n))
+    r = np.arange(n - 1)
+    blocks[:, r, r + 1] = blocks[:, r + 1, r] = relative_hop[:, None]
+    blocks[:, 0, n - 1] = blocks[:, n - 1, 0] = relative_hop * (-1.0) ** m
+    blocks[:, 0, 0] = hamiltonian.vdd
+    return blocks, k
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Sorted eigenpairs plus the detected split-off pair band."""
+    """Sorted eigenvalues, each symmetry block's eigenvectors (see
+    ``_symmetry_blocks``) and the detected split-off pair band.  ``order[i]``
+    is the flat (block, column) index of the i-th eigenvalue."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray        # (n_states, N, N)
+    block_vectors: np.ndarray            # (blocks, d, d), eigenvectors in columns
+    quasimomenta: np.ndarray | None
+    order: np.ndarray
     site_count: int
     diatom_band: range
     single_atom_min: float
     split_gap: float
 
     def state(self, index: int) -> TwoAtomState:
-        return TwoAtomState(self.eigenvectors[index])
+        """The ``index``-th eigenstate in the product basis."""
+        n = self.site_count
+        block, column = divmod(int(self.order[index]), self.block_vectors.shape[2])
+        vector = self.block_vectors[block][:, column]
+        if self.quasimomenta is None:
+            return TwoAtomState(vector.reshape(n, n))
+        sites = np.arange(n)
+        relative = (sites[None, :] - sites[:, None]) % n
+        # e^{iK(j+l)/2} g(l-j) = e^{iK(j+r/2)} g(r) with r = (l-j) mod N
+        phase = np.exp(1j * self.quasimomenta[block] * (sites[:, None] + relative / 2.0))
+        return TwoAtomState(phase * vector[relative] / np.sqrt(n))
 
     @property
     def diatom_band_edges(self) -> tuple[float, float]:
@@ -235,50 +248,34 @@ def _detect_diatom_band(
     return range(best_m), best_gap
 
 
-def diagonalize(
-    hamiltonian: TwoAtomHamiltonian,
-    n_eigen: int | None = None,
-    residual_tol: float = 1e-8,
-) -> SpectrumResult:
-    """Solve for the spectrum; full dense solve, or lowest ``n_eigen``
-    pairs iteratively for sparse problems."""
+def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
+    """Full spectrum by a dense solve of each symmetry block."""
     n = hamiltonian.site_count
-    if hamiltonian.is_sparse:
-        k = n_eigen or 2 * n
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                hamiltonian.matrix, k=k, which="SA"
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise RuntimeError(
-                f"iterative eigensolver did not converge: {exc}"
-            ) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        matrix = hamiltonian.dense()
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("Hamiltonian contains non-finite entries")
-        vals, vecs = scipy.linalg.eigh(matrix)
+    blocks, quasimomenta = _symmetry_blocks(hamiltonian)
+    if not np.all(np.isfinite(blocks)):
+        raise ValueError("Hamiltonian contains non-finite entries")
+    vals, vecs = np.linalg.eigh(blocks)
 
+    # against the whole spectrum: a block can be ~0 throughout (K = pi at V_dd = 0)
     scale = float(np.max(np.abs(vals))) or 1.0
-    residual = hamiltonian.matrix @ vecs - vecs * vals
-    worst = float(np.max(np.abs(residual)))
-    if worst > residual_tol * scale:
-        raise RuntimeError(
-            f"eigenpair residual {worst:.2e} exceeds {residual_tol:.1e} * |H|"
-        )
+    worst = float(np.max(np.abs(blocks @ vecs - vecs * vals[:, None, :])))
+    if worst > 1e-8 * scale:
+        raise RuntimeError(f"eigenpair residual {worst:.2e} exceeds 1e-8 * |H|")
 
+    order = np.argsort(vals, axis=None, kind="stable")
+    eigenvalues = vals.ravel()[order]
     single = single_atom_matrix(n, hamiltonian.hop, hamiltonian.boundary)
     single_min = float(scipy.linalg.eigvalsh(single)[0])
     if hamiltonian.external.kind == "none":
-        band, gap = _detect_diatom_band(vals, single_min, n)
+        band, gap = _detect_diatom_band(eigenvalues, single_min, n)
     else:
         band, gap = range(0), 0.0
 
     return SpectrumResult(
-        eigenvalues=vals,
-        eigenvectors=np.moveaxis(vecs.reshape(n, n, -1), -1, 0),
+        eigenvalues=eigenvalues,
+        block_vectors=vecs,
+        quasimomenta=quasimomenta,
+        order=order,
         site_count=n,
         diatom_band=band,
         single_atom_min=single_min,

@@ -398,7 +398,7 @@ def test_criterion_10_property_suite(lithium_model, fig7a_state, wannier393, tmp
 
     spectrum = diagonalized(-0.0881, -0.4693)
     scale = np.max(np.abs(spectrum.eigenvalues))
-    vec = spectrum.eigenvectors[0].ravel()
+    vec = spectrum.state(0).vector()
     residual = np.max(np.abs(matrix @ vec - spectrum.eigenvalues[0] * vec))
     checks["eigen_residual<=1e-8"] = residual <= 1e-8 * scale
 

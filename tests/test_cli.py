@@ -89,6 +89,18 @@ class TestArtifacts:
         assert data.shape[0] == 625
         assert np.all(np.diff(data[:, 1]) >= -1e-12)
 
+    def test_spectrum_all_states_beyond_40_sites(self, tmp_path):
+        path = tmp_path / "n41.ini"
+        write_config(lithium_default(), path)
+        path.write_text(path.read_text().replace("site_count = 25", "site_count = 41"))
+        run_cli("--config", str(path), "--out", str(tmp_path), "spectrum")
+        data = np.loadtxt(
+            tmp_path / "spectrum.csv", delimiter=",", skiprows=1, usecols=(2, 3)
+        )
+        assert data.shape[0] == 41 * 41
+        assert np.array_equal(data[:, 0], np.arange(41 * 41))
+        assert np.all(np.diff(data[:, 1]) >= -1e-12)
+
     def test_spectrum_sweep_split_band_emerges(self, tmp_path):
         run_cli(
             "--config", str(CONFIG), "--out", str(tmp_path),
@@ -159,13 +171,17 @@ class TestSweep:
 
     def test_point_failure_recorded_not_fatal(self, tmp_path):
         # U0 = 0 has no split band and no Gaussian width: the row carries an
-        # error or empty metrics, and the run still succeeds
+        # error, and the run still succeeds
         result = run_cli(
             "--config", str(CONFIG), "--out", str(tmp_path), "sweep", "U0 0:4:2"
         )
         assert result.returncode == 0
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3
+        # U0 = 0 lies outside tight binding, U0 = 4 inside
+        shallow, deep = sweep_rows(tmp_path)
+        assert "tight-binding" in shallow["error"] and shallow["s"] == ""
+        assert deep["error"] == "" and float(deep["s"]) > 0
 
     def test_single_point_matches_direct(self, tmp_path, lithium_model, dist_metrics):
         # a one-point sweep at the configured interaction reproduces the
@@ -322,6 +338,22 @@ class TestExitCodes:
         )
         assert result.returncode == 3
         assert "numerical error" in result.stderr
+
+    def test_dist_outside_tight_binding(self, tmp_path):
+        # a near-zero lattice intensity leaves the atoms almost free
+        path = tmp_path / "shallow.ini"
+        write_config(lithium_default(), path)
+        path.write_text(
+            path.read_text().replace(
+                "intensity_lattice_w_per_m2 = 1860.0",
+                "intensity_lattice_w_per_m2 = 1e-06",
+            )
+        )
+        result = run_cli(
+            "--config", str(path), "--out", str(tmp_path), "dist", check=False
+        )
+        assert result.returncode == 3
+        assert "tight-binding" in result.stderr
 
     def test_init_config(self, tmp_path):
         target = tmp_path / "fresh.ini"

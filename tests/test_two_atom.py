@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diagonalized, model_for
 from latticeepr import two_atom as ta
@@ -58,19 +60,6 @@ class TestBuild:
             scipy.linalg.eigvalsh(brute), ta.diagonalize(ta.build(model)).eigenvalues
         )
 
-    def test_sparse_matches_dense(self):
-        model = model_for(-0.1, -0.8, site_count=10)
-        dense = ta.diagonalize(ta.build(model, sparse=False))
-        sparse = ta.diagonalize(ta.build(model, sparse=True), n_eigen=12)
-        assert np.allclose(
-            dense.eigenvalues[:12], sparse.eigenvalues[:12], atol=1e-8
-        )
-
-    def test_large_dense_rejected(self):
-        model = model_for(-0.1, -0.8, site_count=50)
-        with pytest.raises(ValueError, match="sparse"):
-            ta.build(model, sparse=False)
-
     def test_spectral_sum_rule(self):
         ham = ta.build(model_for(-0.0881, -0.4693))
         spectrum = ta.diagonalize(ham)
@@ -80,14 +69,14 @@ class TestBuild:
 
     def test_exchange_symmetry(self):
         spectrum = diagonalized(-0.0881, -0.4693)
-        swapped = [ta.TwoAtomState(v.T.copy()) for v in spectrum.eigenvectors[:6]]
+        swapped = [ta.TwoAtomState(spectrum.state(i).amplitudes.T.copy()) for i in range(6)]
         for i, state in enumerate(swapped):
             # nondegenerate eigenvectors have definite swap parity
             gap_below = np.inf if i == 0 else spectrum.eigenvalues[i] - spectrum.eigenvalues[i - 1]
             gap_above = spectrum.eigenvalues[i + 1] - spectrum.eigenvalues[i]
             if min(gap_below, gap_above) < 1e-10:
                 continue
-            overlap = np.vdot(spectrum.eigenvectors[i].ravel(), state.vector())
+            overlap = np.vdot(spectrum.state(i).vector(), state.vector())
             assert abs(abs(overlap) - 1.0) < 1e-8
 
 
@@ -98,9 +87,49 @@ class TestDiagonalize:
         matrix = ham.dense()
         scale = np.max(np.abs(spectrum.eigenvalues))
         for i in (0, 100, 600):
-            vec = spectrum.eigenvectors[i].ravel()
+            vec = spectrum.state(i).vector()
             residual = matrix @ vec - spectrum.eigenvalues[i] * vec
             assert np.max(np.abs(residual)) <= 1e-8 * scale
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        site_count=st.integers(3, 12),
+        hop=st.floats(-1.0, 1.0, allow_subnormal=False),
+        vdd=st.one_of(st.floats(-4.0, -0.01), st.just(0.0), st.floats(0.01, 4.0)),
+    )
+    def test_blocks_match_dense_reference(self, site_count, hop, vdd):
+        ham = ta.build(model_for(hop, vdd, site_count=site_count))
+        matrix = ham.dense()
+        reference = scipy.linalg.eigvalsh(matrix)
+        scale = np.max(np.abs(reference)) or 1.0
+        spectrum = ta.diagonalize(ham)
+        assert np.allclose(spectrum.eigenvalues, reference, rtol=0, atol=1e-12 * scale)
+        vectors = np.array([spectrum.state(i).vector() for i in range(site_count**2)]).T
+        residual = matrix @ vectors - vectors * spectrum.eigenvalues
+        assert np.max(np.abs(residual)) <= 1e-10 * scale
+        gram = vectors.conj().T @ vectors
+        assert np.allclose(gram, np.eye(site_count**2), rtol=0, atol=1e-12)
+
+    def test_free_ring_beyond_40_sites(self):
+        # V_dd = 0: every one of the N^2 states is a sum of two free-atom
+        # energies 2 V_hop cos k, k = 2 pi q / N
+        n, hop = 100, -0.0881
+        spectrum = ta.diagonalize(ta.build(model_for(hop, 0.0, site_count=n)))
+        single = 2 * hop * np.cos(2 * np.pi * np.arange(n) / n)
+        sums = np.sort(np.add.outer(single, single).ravel())
+        assert spectrum.eigenvalues.shape == (n * n,)
+        assert np.allclose(spectrum.eigenvalues, sums, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("site_count", [25, 40, 60])
+    def test_bound_band_closed_form(self, site_count):
+        # |V_dd| > 4 |V_hop| puts all N pairs below the continuum, at
+        # E_K = -sqrt(V_dd^2 + 16 V_hop^2 cos^2(K/2)); the ring's finite-size
+        # shift is ~lambda^N with lambda <= 0.17 at this coupling
+        hop, vdd = -0.0881, -1.0
+        spectrum = ta.diagonalize(ta.build(model_for(hop, vdd, site_count=site_count)))
+        k = 2 * np.pi * np.arange(site_count) / site_count
+        band = np.sort(-np.sqrt(vdd**2 + 16 * hop**2 * np.cos(k / 2) ** 2))
+        assert np.allclose(spectrum.eigenvalues[:site_count], band, rtol=0, atol=1e-12)
 
     def test_no_split_band_without_interaction(self):
         assert len(diagonalized(-0.0355, 0.0).diatom_band) == 0
@@ -260,7 +289,7 @@ class TestExternalPotential:
         pot = ta.ExternalPotential.harmonic(sigma_e=3.0, center=12.0)
         ham = ta.build(model, pot)
         spectrum = ta.diagonalize(ham)
-        ground = spectrum.eigenvectors[0]
+        ground = spectrum.state(0).amplitudes
         marginal = np.sum(np.abs(ground) ** 2, axis=1)
         j = np.arange(25)
         width = np.sqrt(np.sum(marginal * (j - 12.0) ** 2))
