@@ -19,6 +19,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, band_structure, distributions, liddi, protocol, two_atom
 from .constants import HBAR
@@ -95,18 +96,16 @@ def write_matrix(path: Path, joint: distributions.JointDistribution, comment: st
     """Gnuplot `splot`-ready blocks: x1 x2 density, blank line per x1."""
     joint = decimate_joint(joint)
     unit = "a" if joint.kind == "position" else "hbar/a"
-    lines = [
-        f"# {comment}",
-        f"# columns: axis1 [{unit}], axis2 [{unit}], probability density",
-    ]
-    for i, x1 in enumerate(joint.axis1):
-        block = joint.density[i]
-        x1s = _fmt(x1)
-        lines.extend(
-            f"{x1s} {_fmt(x2)} {_fmt(v)}" for x2, v in zip(joint.axis2, block)
-        )
-        lines.append("")
-    path.write_text("\n".join(lines) + "\n")
+    x2s = [_fmt(x2) for x2 in joint.axis2]
+    # Written row by row, so no copy of the whole file is held in memory.
+    # A memoryview row yields Python floats, and f"{v:.12g}" of a Python
+    # float is what _fmt writes for it, nan included.
+    with path.open("w") as f:
+        f.write(f"# {comment}\n# columns: axis1 [{unit}], axis2 [{unit}], probability density\n")
+        for x1, block in zip(joint.axis1, joint.density):
+            x1s = _fmt(x1)
+            f.write("\n".join(f"{x1s} {x2} {v:.12g}" for x2, v in zip(x2s, memoryview(block))))
+            f.write("\n\n")
 
 
 def _config_hash(config: ExperimentConfig) -> str:
@@ -117,10 +116,16 @@ def _config_hash(config: ExperimentConfig) -> str:
 def write_manifest(
     out_dir: Path, command: str, config: ExperimentConfig, outputs: list[str], t0: float
 ) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "blas_name": blas["name"],
+        "blas_version": blas["version"],
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "config_sha256": _config_hash(config),
         "effective_config": config.to_dict(),
         "wall_time_s": time.time() - t0,

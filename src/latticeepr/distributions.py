@@ -56,10 +56,6 @@ class Marginal:
     density: np.ndarray
 
 
-def _site_positions(n: int) -> np.ndarray:
-    return np.arange(n, dtype=float)
-
-
 def _position_amplitude(state: TwoAtomState, site_matrix: np.ndarray) -> np.ndarray:
     # psi(x1, x2) = sum_{jl} c_jl chi_j(x1) chi_l(x2)
     return site_matrix.T @ state.amplitudes @ site_matrix
@@ -114,17 +110,48 @@ def thermal_momentum_joint(
     basis: WannierBasis,
     grid: np.ndarray | None = None,
 ) -> JointDistribution:
-    """Incoherent mixture of per-state joint momentum densities."""
+    """Incoherent mixture of per-state joint momentum densities.
+
+    The structure factor sum_jl c_jl e^{-i(p1 j + p2 l)} is 2 pi-periodic
+    in each momentum, so on a grid p = k dp with dp = 2 pi / M it is the
+    M x M discrete Fourier transform of the zero-padded amplitudes.  The
+    grid must be uniform, its spacing must divide 2 pi into M >= N steps
+    and its points must lie on multiples of the spacing; the default grid
+    (M = 8N) does.
+    """
     p = default_momentum_grid(basis) if grid is None else np.asarray(grid, float)
-    envelope = basis.momentum_transform(p)
-    sites = _site_positions(states[0].site_count)
-    phases = np.exp(-1j * np.outer(p, sites))
-    density = np.zeros((p.size, p.size))
+    k, m = _fourier_indices(p, states[0].site_count)
+    power = np.zeros((m, m))
     for state, weight in zip(states, weights):
-        structure = phases @ state.amplitudes @ phases.T
-        amp = envelope[:, None] * structure * envelope[None, :]
-        density += weight * np.abs(amp) ** 2
+        structure = np.fft.fft2(state.amplitudes, s=(m, m))
+        power += weight * (structure.real**2 + structure.imag**2)
+    envelope = np.abs(basis.momentum_transform(p)) ** 2
+    density = power[np.ix_(k, k)]
+    density *= envelope[:, None]
+    density *= envelope[None, :]
     return JointDistribution(p.copy(), p.copy(), density, "momentum")
+
+
+def _fourier_indices(p: np.ndarray, n_sites: int) -> tuple[np.ndarray, int]:
+    """Indices k mod M of the grid points p = k dp on the M-point Fourier
+    grid of spacing dp = 2 pi / M, and M; ValueError if no such M >= N
+    serves the grid."""
+    if p.ndim != 1 or p.size < 2:
+        raise ValueError("momentum grid needs at least two points")
+    step = p[1] - p[0]
+    if not np.all(np.abs(np.diff(p) - step) <= 1e-9 * abs(step)):
+        raise ValueError("momentum grid is not uniform")
+    m = int(round(RECIPROCAL / step)) if step > 0 else 0
+    if m < n_sites:
+        raise ValueError(
+            f"momentum grid spacing {step} gives {m} points per 2 pi, fewer than {n_sites} sites"
+        )
+    if abs(m * step - RECIPROCAL) > 1e-9 * RECIPROCAL:
+        raise ValueError(f"momentum grid spacing {step} does not divide 2 pi")
+    k = np.rint(p / step)
+    if np.any(np.abs(p - k * step) > 1e-9 * step):
+        raise ValueError("momentum grid points are not multiples of the spacing")
+    return k.astype(int) % m, m
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,13 @@ def to_model(
     the computed lowest band), the pair interaction from the nearest-site
     dipole-dipole formula.
     """
+    return _model_and_hopping(phys, site_count, boundary)[0]
+
+
+def _model_and_hopping(
+    phys: PhysicalParams, site_count: int, boundary: str
+) -> tuple[ModelParams, band_structure.HoppingResult]:
+    """:func:`to_model` and the band hopping it was built from."""
     erec = recoil_energy(phys.atom_mass, phys.lambda_lattice)
     u0 = lattice_depth(phys.intensity_lattice, phys.dipole_lattice, phys.detuning_lattice) / erec
     hopping = band_structure.hopping_exact(band_structure.bloch_spectrum(u0))
@@ -185,7 +192,7 @@ def to_model(
         lattice_constant=phys.lattice_constant,
         boundary=boundary,
         tight_binding_valid=hopping.tight_binding_valid,
-    )
+    ), hopping
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +473,7 @@ def write_config(config: ExperimentConfig, path: str | Path) -> None:
 def parameter_report(config: ExperimentConfig) -> dict:
     """Derived-parameters report (the `params` subcommand payload)."""
     phys = config.physical
-    model = config.model()
-    spectrum = band_structure.bloch_spectrum(model.lattice_depth)
-    hopping = band_structure.hopping_exact(spectrum)
+    model, hopping = _model_and_hopping(phys, config.site_count, config.boundary)
     sigma_g = band_structure.gaussian_sigma(model.lattice_depth)
     fieldC = phys.coupling_field()
     alpha = liddi.polarizability(

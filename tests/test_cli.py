@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from latticeepr import band_structure, distributions
+from latticeepr import band_structure, cli, distributions
 from latticeepr.constants import HBAR
 from latticeepr.parameters import ExperimentConfig, lithium_default, write_config
 
@@ -62,6 +63,12 @@ class TestParams:
         assert config == lithium_default()
         assert manifest["command"] == "params"
         assert "params.json" in manifest["outputs"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+        assert manifest["blas_name"] == blas["name"]
+        assert manifest["blas_version"] == blas["version"]
+        assert "openblas_num_threads" in manifest
 
 
 class TestArtifacts:
@@ -141,6 +148,34 @@ class TestArtifacts:
         assert lines[1].startswith("# columns: axis1 [a], axis2 [a]")
         blocks = "\n".join(lines).split("\n\n")
         assert len(blocks) > 100  # one block per axis1 value
+
+    @pytest.mark.parametrize("size", [5, 700])
+    def test_matrix_values_formatted_as_fmt(self, tmp_path, size):
+        # every line reads as _fmt of its axis values and density, also for
+        # nan, -0, 1e-300 and 0.1 + 0.2, before and after decimation
+        # (stride 3 at 700 points)
+        axis = np.linspace(-3.0, 3.0, size)
+        density = np.random.default_rng(7).random((size, size)) * 1e-3
+        stride = max(1, int(np.ceil(size / 320)))
+        special = [np.nan, -0.0, 1e-300, 0.1 + 0.2]
+        for i, value in enumerate(special):
+            density[i * stride, (i + 1) * stride] = value
+        joint = distributions.JointDistribution(axis, axis.copy(), density, "momentum")
+        cli.write_matrix(tmp_path / "m.dat", joint, "test")
+
+        shown = cli.decimate_joint(joint)
+        expected = ["# test", "# columns: axis1 [hbar/a], axis2 [hbar/a], probability density"]
+        for x1, block in zip(shown.axis1, shown.density):
+            expected += [
+                f"{cli._fmt(x1)} {cli._fmt(x2)} {cli._fmt(v)}"
+                for x2, v in zip(shown.axis2, block)
+            ]
+            expected.append("")
+        text = (tmp_path / "m.dat").read_text()
+        assert text.splitlines() == expected
+        assert text.endswith("\n\n")
+        for value in ("nan", "-0", "1e-300", "0.3"):
+            assert any(line.endswith(f" {value}") for line in expected)
 
 
 class TestSweep:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diagonalized, model_for, wannier_basis
 from latticeepr import distributions as dist
@@ -119,6 +121,57 @@ class TestMomentumJoint:
         mom = dist.momentum_joint(fig7a_state, wannier393)
         assert dist.correlation_coefficient(pos) > 0.9
         assert dist.correlation_coefficient(mom, window=np.pi) < -0.9
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        site_count=st.integers(3, 10),
+        state_count=st.integers(1, 3),
+        per_site=st.sampled_from([1, 8, 16]),
+        start=st.floats(-3.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_sum(
+        self, wannier393, site_count, state_count, per_site, start, seed
+    ):
+        # on a grid of spacing 2 pi / M the joint equals the direct sum
+        # sum_s w_s |chi~(p1) chi~(p2) sum_jl c_jl e^{-i(p1 j + p2 l)}|^2,
+        # also where the grid wraps past one period; the basis only supplies
+        # the envelope chi~, so one basis serves every N
+        n, m = site_count, per_site * site_count
+        rng = np.random.default_rng(seed)
+        states = []
+        for _ in range(state_count):
+            amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            states.append(ta.TwoAtomState(amp / np.linalg.norm(amp)))
+        weights = rng.random(state_count)
+        weights /= weights.sum()
+        first = int(np.floor(start * m))
+        grid = 2 * np.pi / m * np.arange(first, first + 2 * m + 3)
+
+        joint = dist.thermal_momentum_joint(states, weights, wannier393, grid=grid)
+
+        chi = wannier393.momentum_transform(grid)
+        phase = np.exp(-1j * np.outer(grid, np.arange(n)))
+        expected = np.zeros((grid.size, grid.size))
+        for state, weight in zip(states, weights):
+            total = np.einsum("jl,aj,bl->ab", state.amplitudes, phase, phase)
+            expected += weight * np.abs(chi[:, None] * total * chi[None, :]) ** 2
+        assert np.max(np.abs(joint.density - expected)) <= 1e-12 * np.max(expected)
+
+    def test_grid_without_fourier_form_rejected(self, fig7a_state, wannier393):
+        n = fig7a_state.site_count
+        step = 2 * np.pi / (8 * n)
+        uneven = step * np.arange(-100, 101.0)
+        uneven[150] += 0.3 * step
+        grids = {
+            "does not divide 2 pi": 0.01 * np.arange(-100, 101),
+            "not uniform": uneven,
+            "fewer than": 2 * np.pi / (n - 1) * np.arange(-10, 11),
+            "not multiples": step * (np.arange(-100, 101) + 0.5),
+        }
+        for message, grid in grids.items():
+            with pytest.raises(ValueError, match=message):
+                dist.momentum_joint(fig7a_state, wannier393, grid=grid)
 
 
 class TestConditional:

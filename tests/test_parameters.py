@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from latticeepr import parameters
+from latticeepr import band_structure, parameters
 from latticeepr.constants import HBAR
 from latticeepr.parameters import (
     ConfigError,
@@ -188,6 +188,20 @@ class TestReport:
         assert report["natural_time_s"] == pytest.approx(
             HBAR / report["recoil_energy_joule"], rel=1e-12
         )
+
+    def test_one_bloch_solve(self, monkeypatch):
+        # the model's hopping and the reported bandwidth come from one
+        # Bloch spectrum at the lattice depth
+        solve = band_structure.bloch_spectrum
+        depths = []
+
+        def counted(u0, *args, **kwargs):
+            depths.append(u0)
+            return solve(u0, *args, **kwargs)
+
+        monkeypatch.setattr(band_structure, "bloch_spectrum", counted)
+        parameters.parameter_report(lithium_default())
+        assert len(depths) == 1
 
     def test_report_serializes(self, lithium_config):
         text = parameters.report_json(parameters.parameter_report(lithium_config))
