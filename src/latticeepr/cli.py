@@ -114,8 +114,14 @@ def _config_hash(config: ExperimentConfig) -> str:
 
 
 def write_manifest(
-    out_dir: Path, command: str, config: ExperimentConfig, outputs: list[str], t0: float
+    out_dir: Path,
+    command: str,
+    config: ExperimentConfig,
+    outputs: list[str],
+    t0: float,
+    messages: list[str],
 ) -> None:
+    """run_manifest.json; ``messages`` are the run's warnings, first seen first."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
@@ -130,6 +136,7 @@ def write_manifest(
         "effective_config": config.to_dict(),
         "wall_time_s": time.time() - t0,
         "outputs": sorted(outputs),
+        "warnings": messages,
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -348,6 +355,7 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
         "single_centroid_final": trace.diagnostics[-1].single_centroid,
         "ejection_line_site": prot.ejection_line_site,
         "ejected": trace.diagnostics[-1].single_centroid > prot.ejection_line_site,
+        "evolve_norm_drift": trace.norm_drift,
     }
     (out / "postselect.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     outputs.append("postselect.json")
@@ -584,8 +592,9 @@ def main(argv: list[str] | None = None) -> int:
                 outputs = cmd_spectrum(config, out, args.sweep)
             else:
                 outputs = COMMANDS[args.command](config, out)
-        for w in {str(w.message) for w in caught}:
-            print(f"warning: {w}", file=sys.stderr)
+        messages = list(dict.fromkeys(str(w.message) for w in caught))
+        for message in messages:
+            print(f"warning: {message}", file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -598,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    write_manifest(out, args.command, config, outputs, t0)
+    write_manifest(out, args.command, config, outputs, t0, messages)
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures; expensive spectra and protocol runs are session-cached."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -71,21 +72,26 @@ def fig7a_state():
     return two_atom.diatom_ground_state(diagonalized(-0.0355, -1.0))
 
 
-@pytest.fixture(scope="session")
-def protocol_run(lithium_config):
-    """The documented separation run: snapshots at 0, 1.4e-4, 2.16e-4 s."""
-    config = lithium_config
+def lithium_protocol(site_count: int = 25):
+    """Config, model, tilted Hamiltonian and initial state of the lithium
+    separation protocol on ``site_count`` sites."""
+    config = dataclasses.replace(lithium_default(), site_count=site_count)
     prot = config.protocol
     model = config.model(boundary=prot.boundary)
     tilt = two_atom.ExternalPotential.linear(
         prot.slope_erec_per_site, species=prot.tilt_species
     )
-    hamiltonian = two_atom.build(model, tilt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        psi0 = protocol.initial_state(
-            prot.sigma_e_sites, prot.center_site, config.site_count
-        )
+        psi0 = protocol.initial_state(prot.sigma_e_sites, prot.center_site, site_count)
+    return config, model, two_atom.build(model, tilt), psi0
+
+
+@pytest.fixture(scope="session")
+def protocol_run():
+    """The documented separation run: snapshots at 0, 1.4e-4, 2.16e-4 s."""
+    config, model, hamiltonian, psi0 = lithium_protocol()
+    prot = config.protocol
     dense = sorted(set(np.linspace(0, 2.3e-4, 24)) | set(prot.snapshot_times_s))
     trace = protocol.evolve(
         psi0,

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes, manifest."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,7 @@ class TestParams:
         assert manifest["blas_name"] == blas["name"]
         assert manifest["blas_version"] == blas["version"]
         assert "openblas_num_threads" in manifest
+        assert manifest["warnings"] == []
 
 
 class TestArtifacts:
@@ -137,6 +139,7 @@ class TestArtifacts:
         summary = json.loads((tmp_path / "postselect.json").read_text())
         assert summary["ejected"] is True
         assert 0.0 < summary["retained_mass"] < 1.0
+        assert 0.0 <= summary["evolve_norm_drift"] < 1e-12
 
     def test_matrix_block_format(self, tmp_path):
         run_cli(
@@ -323,6 +326,39 @@ class TestDeterminism:
             outs.append(out)
         for name in ("dispersion.csv", "wannier.csv", "liddi_scan.csv", "sweep.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_warnings_in_first_seen_order(self, tmp_path):
+        # a narrow envelope at the lattice edge warns twice per envelope;
+        # stderr and the manifest list each message once, in the order
+        # raised, whatever the string hash seed (the two seeds below gave
+        # opposite orders when the messages were printed from a set)
+        path = tmp_path / "edge.ini"
+        write_config(lithium_default(), path)
+        path.write_text(
+            path.read_text()
+            .replace("sigma_e_sites = 5.0", "sigma_e_sites = 0.8")
+            .replace("center_site = 8", "center_site = 0")
+        )
+        expected = [
+            "envelope width 0.8 below one lattice constant; the cooled state "
+            "should span several sites",
+            "envelope clipped by the lattice boundary: tail mass 2.51e-01",
+        ]
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "latticeepr", "--config", str(path),
+                    "--out", str(out), "--resolution", "16", "protocol",
+                ],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stderr.splitlines() == [f"warning: {m}" for m in expected]
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["warnings"] == expected
 
     def test_process_pool_matches_serial(self, tmp_path):
         tables = []

@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import diagonalized, model_for, snapshot_at
+from conftest import diagonalized, lithium_protocol, model_for, snapshot_at
 from latticeepr import protocol as pr
 from latticeepr import two_atom as ta
 from latticeepr.constants import HBAR, KB
@@ -82,6 +85,78 @@ class TestEvolve:
         back = pr.evolve(forward, hamiltonian, [-140.0]).final()
         fidelity = abs(np.vdot(back.vector(), state.vector())) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        site_count=st.integers(3, 10),
+        boundary=st.sampled_from(["open", "periodic"]),
+        hop=st.floats(-1.0, 1.0, allow_subnormal=False),
+        vdd=st.one_of(st.floats(-4.0, -0.01), st.just(0.0), st.floats(0.01, 4.0)),
+        external=st.one_of(
+            st.builds(
+                ta.ExternalPotential.linear,
+                st.floats(-0.5, 0.5, allow_subnormal=False),
+                st.sampled_from(["first", "second", "both"]),
+            ),
+            st.builds(
+                ta.ExternalPotential.harmonic, st.floats(1.0, 4.0), st.floats(0.0, 9.0)
+            ),
+        ),
+        times=st.lists(st.floats(0.01, 30.0), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_exponential(
+        self, site_count, boundary, hop, vdd, external, times, seed
+    ):
+        # psi(t) = expm(-i t H) psi0 for a random state, at times that
+        # include 0 and a negative value
+        ham = ta.build(model_for(hop, vdd, site_count, boundary), external)
+        rng = np.random.default_rng(seed)
+        amp = rng.normal(size=(site_count, site_count)) + 1j * rng.normal(
+            size=(site_count, site_count)
+        )
+        state = ta.TwoAtomState(amp / np.linalg.norm(amp))
+        times = sorted([-times[0], 0.0, *times[1:]])
+        trace = pr.evolve(state, ham, times)
+        matrix = ham.dense()
+        for t, snapshot in zip(times, trace.states):
+            expected = scipy.linalg.expm(-1j * t * matrix) @ state.vector()
+            assert np.max(np.abs(snapshot.vector() - expected)) <= 1e-10
+
+    def test_evolve_never_builds_dense(self, monkeypatch):
+        config, model, ham, psi0 = lithium_protocol(60)
+        times = config.protocol.snapshot_times_s
+
+        def refuse(self):
+            raise AssertionError("dense N^2 x N^2 matrix built")
+
+        monkeypatch.setattr(ta.TwoAtomHamiltonian, "dense", refuse)
+        trace = pr.evolve(psi0, ham, times, erec_joule=model.recoil_energy)
+        assert len(trace.states) == len(times)
+
+    def test_independent_of_global_rng(self):
+        # expm_multiply estimates norms of matrix powers from numpy's global
+        # random state; the propagated states must not depend on it
+        config, model, ham, psi0 = lithium_protocol(40)
+        times = config.protocol.snapshot_times_s
+        saved = np.random.get_state()
+        try:
+            runs = []
+            for seed in (1, 2):
+                np.random.seed(seed)
+                runs.append(pr.evolve(psi0, ham, times, erec_joule=model.recoil_energy).states)
+        finally:
+            np.random.set_state(saved)
+        for a, b in zip(*runs):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+
+    def test_lithium_100_sites_conserves_norm_and_energy(self):
+        config, model, ham, psi0 = lithium_protocol(100)
+        times = config.protocol.snapshot_times_s
+        trace = pr.evolve(psi0, ham, times, erec_joule=model.recoil_energy)
+        assert trace.norm_drift <= 1e-12
+        energies = np.array([ham.expectation(s) for s in trace.states])
+        assert np.max(np.abs(energies - energies[0])) <= 1e-10 * abs(energies[0])
 
     def test_monotone_times_required(self, free_setup):
         _, hamiltonian, state = free_setup
