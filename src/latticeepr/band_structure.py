@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 G = 2.0 * np.pi  # reciprocal lattice vector, 1/a
+CONVERGENCE_TOL = 1e-10  # E_rec, lowest bands under plane-wave basis doubling
 
 
 class ConvergenceError(RuntimeError):
@@ -55,7 +56,6 @@ class BlochSpectrum:
     ``exp(i (k + n G) x)``).
     """
 
-    u0: float
     quasimomenta: np.ndarray
     band_energies: np.ndarray
     band_states: np.ndarray
@@ -69,19 +69,12 @@ class BlochSpectrum:
         return self.band_energies[0]
 
 
-def bloch_spectrum(
-    u0: float,
-    n_planewaves: int = 33,
-    n_k: int = 64,
-    check_convergence: bool = True,
-    tol: float = 1e-10,
-) -> BlochSpectrum:
+def bloch_spectrum(u0: float, n_planewaves: int = 33, n_k: int = 64) -> BlochSpectrum:
     """Diagonalize the plane-wave lattice Hamiltonian at every k point.
 
     The matrix is tridiagonal: kinetic terms ((k + nG)/pi)^2 on the
-    diagonal, -U0/4 on the off-diagonals.  With ``check_convergence`` the
-    lowest three bands are re-solved in a doubled basis and must agree to
-    ``tol``.
+    diagonal, -U0/4 on the off-diagonals.  The lowest three bands are
+    re-solved in a doubled basis and must agree to ``CONVERGENCE_TOL``.
     """
     if u0 < 0:
         raise ValueError(f"lattice depth must be non-negative, got {u0}")
@@ -99,30 +92,28 @@ def bloch_spectrum(
         vals, vecs = eigh_tridiagonal(diag, off)
         energies[:, ik] = vals
         states[ik] = vecs[:, 0]
-        if check_convergence:
-            diag2, off2 = _pendulum_tridiagonal(u0, k, 2 * n_planewaves + 1)
-            vals2 = eigh_tridiagonal(diag2, off2, eigvals_only=True)
-            worst = max(worst, float(np.max(np.abs(vals[:3] - vals2[:3]))))
-    if check_convergence and worst > tol:
+        diag2, off2 = _pendulum_tridiagonal(u0, k, 2 * n_planewaves + 1)
+        vals2 = eigh_tridiagonal(diag2, off2, eigvals_only=True)
+        worst = max(worst, float(np.max(np.abs(vals[:3] - vals2[:3]))))
+    if worst > CONVERGENCE_TOL:
         raise ConvergenceError(
             f"lowest bands not converged at n_planewaves={n_planewaves}: "
-            f"residual {worst:.3e} E_rec > {tol:.1e}"
+            f"residual {worst:.3e} E_rec > {CONVERGENCE_TOL:.1e}"
         )
-    return BlochSpectrum(float(u0), ks, energies, states, n_planewaves)
+    return BlochSpectrum(ks, energies, states, n_planewaves)
 
 
 @dataclass(frozen=True)
 class HoppingResult:
     """Tight-binding reduction of the lowest band.
 
-    ``hop`` and ``next_hop`` are the nearest- and next-nearest-neighbor
-    Fourier coefficients of the dispersion, ``nn_deviation`` the relative
+    ``hop`` is the nearest-neighbor Fourier coefficient of the dispersion
+    and ``center_energy`` its mean, ``nn_deviation`` the relative
     mismatch between 4|hop| and the bandwidth (the part carried by longer
     hops).  ``tight_binding_valid`` is False when that mismatch exceeds 5%.
     """
 
     hop: float
-    next_hop: float
     center_energy: float
     bandwidth: float
     nn_deviation: float
@@ -138,7 +129,6 @@ def hopping_exact(spectrum: BlochSpectrum) -> HoppingResult:
     ks = spectrum.quasimomenta
     h0 = float(np.mean(band))
     hop = float(np.mean(band * np.cos(ks)))
-    next_hop = float(np.mean(band * np.cos(2.0 * ks)))
     bandwidth = float(np.max(band) - np.min(band))
     if bandwidth > 0:
         nn_deviation = abs(4.0 * abs(hop) - bandwidth) / bandwidth
@@ -146,7 +136,6 @@ def hopping_exact(spectrum: BlochSpectrum) -> HoppingResult:
         nn_deviation = 0.0
     return HoppingResult(
         hop=hop,
-        next_hop=next_hop,
         center_energy=h0,
         bandwidth=bandwidth,
         nn_deviation=nn_deviation,
@@ -214,9 +203,6 @@ class WannierBasis:
     wannier_0: np.ndarray
     site_count: int
     points_per_cell: int
-    hop: float
-    center_energy: float
-    u0: float
     sigma: float
     mode_freqs: np.ndarray
     mode_amps: np.ndarray
@@ -246,10 +232,8 @@ class WannierBasis:
         return (phases @ self.wannier_0) * self.dx / np.sqrt(2.0 * np.pi)
 
 
-def wannier(
-    spectrum: BlochSpectrum, site: int = 0, points_per_cell: int = 64
-) -> WannierBasis:
-    """Build the lowest-band Wannier function centered at ``site``.
+def wannier(spectrum: BlochSpectrum, points_per_cell: int = 64) -> WannierBasis:
+    """Build the lowest-band Wannier function centered at site 0.
 
     Gauge: each Bloch function is made real and positive at the site
     center, which in 1D yields the real, even, exponentially localized
@@ -296,20 +280,15 @@ def wannier(
     xc = (grid + n / 2.0) % n - n / 2.0
     sigma = float(np.sqrt(np.sum(xc**2 * chi0**2) * dx))
 
-    hopping = hopping_exact(spectrum)
-    basis = WannierBasis(
+    return WannierBasis(
         grid=grid,
-        wannier_0=np.roll(chi0, site * points_per_cell),
+        wannier_0=chi0,
         site_count=n,
         points_per_cell=points_per_cell,
-        hop=hopping.hop,
-        center_energy=hopping.center_energy,
-        u0=spectrum.u0,
         sigma=sigma,
         mode_freqs=freqs,
         mode_amps=amps,
     )
-    return basis
 
 
 def gaussian_sigma(u0: float) -> float:
@@ -331,17 +310,11 @@ def gaussian_site_function(grid: np.ndarray, center: float, sigma: float) -> np.
     return (2.0 * np.pi * sigma**2) ** -0.25 * np.exp(-((grid - center) ** 2) / (4.0 * sigma**2))
 
 
-def gaussian_approx(
-    u0: float, basis: WannierBasis | None = None
-) -> tuple[float, float]:
-    """Gaussian width sigma_G and overlap fidelity |<G|chi_0>|^2.
-
-    Computes a Wannier basis on the fly when none is supplied.
-    """
+def gaussian_approx(u0: float) -> tuple[float, float]:
+    """Gaussian width sigma_G and overlap fidelity |<G|chi_0>|^2 against
+    the Wannier function of a 16-site lattice."""
     sigma_g = gaussian_sigma(u0)
-    if basis is None:
-        spectrum = bloch_spectrum(u0, n_k=16)
-        basis = wannier(spectrum)
+    basis = wannier(bloch_spectrum(u0, n_k=16))
     xc = basis.centered_grid()
     gauss = gaussian_site_function(xc, 0.0, sigma_g)
     overlap = float(np.sum(gauss * basis.wannier_0) * basis.dx)

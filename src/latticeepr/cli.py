@@ -77,11 +77,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def decimate_joint(
-    joint: distributions.JointDistribution, max_points: int = 320
-) -> distributions.JointDistribution:
-    """Stride the grid down to a plottable size (metrics stay on the full grid)."""
-    stride = max(1, int(np.ceil(joint.axis1.size / max_points)))
+def decimate_joint(joint: distributions.JointDistribution) -> distributions.JointDistribution:
+    """Stride the grid down to at most 320 points per axis for plotting
+    (metrics stay on the full grid)."""
+    stride = max(1, int(np.ceil(joint.axis1.size / 320)))
     if stride == 1:
         return joint
     return distributions.JointDistribution(
@@ -289,22 +288,30 @@ def cmd_dist(config: ExperimentConfig, out: Path) -> list[str]:
     return outputs
 
 
-def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
+def _protocol_trace(
+    config: ExperimentConfig, model: ModelParams, slope: float, times
+) -> tuple[two_atom.TwoAtomState, protocol.ProtocolTrace]:
+    """Initial state and trace of the config's separation protocol on
+    ``model`` under a tilt of ``slope`` E_rec per site, at ``times`` (s)."""
     prot = config.protocol
-    model = config.model(boundary=prot.boundary)
-    tilt = two_atom.ExternalPotential.linear(
-        prot.slope_erec_per_site, species=prot.tilt_species
-    )
+    tilt = two_atom.ExternalPotential.linear(slope, species=prot.tilt_species)
     hamiltonian = two_atom.build(model, tilt)
     psi0 = protocol.initial_state(prot.sigma_e_sites, prot.center_site, config.site_count)
     trace = protocol.evolve(
         psi0,
         hamiltonian,
-        prot.snapshot_times_s,
+        times,
         erec_joule=model.recoil_energy,
         origin=prot.center_site,
         band=prot.diatom_band_width,
     )
+    return psi0, trace
+
+
+def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
+    prot = config.protocol
+    model = config.model(boundary=prot.boundary)
+    psi0, trace = _protocol_trace(config, model, prot.slope_erec_per_site, prot.snapshot_times_s)
 
     basis = _wannier_basis(config, model.lattice_depth)
 
@@ -341,17 +348,14 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
     )
     outputs.append("protocol_diagnostics.csv")
 
-    region = prot.postselect_region or (0.0, prot.ejection_line_site)
     kept, retained = protocol.postselect_diatoms(
-        trace.final(), region=region, band=prot.diatom_band_width
-    )
-    alpha = protocol.gaussian_envelope(
-        prot.sigma_e_sites, prot.center_site, config.site_count
+        trace.final(), region=(0.0, prot.ejection_line_site), band=prot.diatom_band_width
     )
     summary = {
         "retained_mass": retained,
         "diagonal_weight_final": trace.diagnostics[-1].diagonal_weight,
-        "comb_fidelity": protocol.diagonal_comb_fidelity(kept, alpha**2),
+        # the initial c_jj = alpha_j^2, the cooled envelope squared
+        "comb_fidelity": protocol.diagonal_comb_fidelity(kept, np.diag(psi0.amplitudes).real),
         "single_centroid_final": trace.diagnostics[-1].single_centroid,
         "ejection_line_site": prot.ejection_line_site,
         "ejected": trace.diagnostics[-1].single_centroid > prot.ejection_line_site,
@@ -434,20 +438,10 @@ def _sigma_e_row(config: ExperimentConfig, parameter: str, value: float, row: di
 
 def _slope_row(config: ExperimentConfig, parameter: str, value: float, row: dict) -> None:
     """Final displacement ratio of the protocol run under tilt ``value``."""
-    prot = config.protocol
-    model = config.model(boundary=prot.boundary)
+    model = config.model(boundary=config.protocol.boundary)
     row["vhop_erec"] = model.hop
     row["vdd_erec"] = model.vdd
-    tilt = two_atom.ExternalPotential.linear(value, species=prot.tilt_species)
-    psi0 = protocol.initial_state(prot.sigma_e_sites, prot.center_site, config.site_count)
-    trace = protocol.evolve(
-        psi0,
-        two_atom.build(model, tilt),
-        [prot.snapshot_times_s[-1]],
-        erec_joule=model.recoil_energy,
-        origin=prot.center_site,
-        band=prot.diatom_band_width,
-    )
+    _, trace = _protocol_trace(config, model, value, [config.protocol.snapshot_times_s[-1]])
     row["displacement_ratio"] = trace.diagnostics[-1].displacement_ratio
 
 

@@ -200,7 +200,6 @@ class PeakWidth:
     hwhm: float
     center: float
     sigma: float       # second moment of the central lobe
-    height: float
 
 
 def central_peak_width(marginal: Marginal, near: float = 0.0) -> PeakWidth:
@@ -246,18 +245,17 @@ def central_peak_width(marginal: Marginal, near: float = 0.0) -> PeakWidth:
     while hi < dens.size - 1 and dens[hi + 1] < dens[hi]:
         hi += 1
     lobe = slice(lo, hi + 1)
-    mass = np.trapezoid(dens[lobe], grid[lobe])
-    mean = np.trapezoid(grid[lobe] * dens[lobe], grid[lobe]) / mass
-    var = np.trapezoid((grid[lobe] - mean) ** 2 * dens[lobe], grid[lobe]) / mass
-    return PeakWidth(hwhm=float(hwhm), center=float(grid[ip]), sigma=float(np.sqrt(var)), height=float(height))
+    sigma = distribution_sigma(Marginal(grid[lobe], dens[lobe]))
+    return PeakWidth(hwhm=float(hwhm), center=float(grid[ip]), sigma=sigma)
 
 
-def comb_spacing(marginal: Marginal, threshold: float = 0.05) -> float:
-    """Median spacing of the local maxima of a multi-peak density."""
+def comb_spacing(marginal: Marginal) -> float:
+    """Median spacing of the local maxima of a multi-peak density, over
+    maxima above 5% of the highest."""
     grid, dens = marginal.grid, marginal.density
     inner = np.arange(1, dens.size - 1)
     is_max = (dens[inner] > dens[inner - 1]) & (dens[inner] > dens[inner + 1])
-    peaks = inner[is_max & (dens[inner] > threshold * np.max(dens))]
+    peaks = inner[is_max & (dens[inner] > 0.05 * np.max(dens))]
     if peaks.size < 2:
         return float("nan")
     return float(np.median(np.diff(grid[peaks])))
@@ -470,7 +468,3 @@ class GaussianEprReference:
     def conditional_width(self) -> float:
         """Spread of x2 after measuring x1."""
         return self.dx_minus / np.sqrt(1.0 + self.squeeze_ratio**2)
-
-
-def gaussian_epr_reference(dx_minus: float, dx_plus: float) -> GaussianEprReference:
-    return GaussianEprReference(dx_minus, dx_plus)

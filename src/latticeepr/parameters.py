@@ -13,7 +13,6 @@ The experiment configuration file is a plain INI file with sections
 from __future__ import annotations
 
 import configparser
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -143,14 +142,6 @@ class ModelParams:
         if not (np.isfinite(self.hop) and np.isfinite(self.vdd)):
             raise ValueError("hop and vdd must be finite")
 
-    def to_si(self, energy: float) -> float:
-        """Convert an energy from E_rec units to J."""
-        return energy * self.recoil_energy
-
-    def from_si(self, energy: float) -> float:
-        """Convert an energy from J to E_rec units."""
-        return energy / self.recoil_energy
-
     @property
     def natural_time(self) -> float:
         """hbar / E_rec in seconds; one unit of dimensionless time."""
@@ -213,7 +204,6 @@ class ProtocolSettings:
     ejection_line_site: float = 13.0
     boundary: str = "open"
     diatom_band_width: int = 1
-    postselect_region: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.sigma_e_sites <= 0:
@@ -222,8 +212,12 @@ class ProtocolSettings:
             raise ValueError(f"tilt_species must be one of {TILT_SPECIES}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
+        if not self.snapshot_times_s:
+            raise ValueError("snapshot_times_s needs at least one time")
         if list(self.snapshot_times_s) != sorted(self.snapshot_times_s):
             raise ValueError("snapshot times must be non-decreasing")
+        if self.diatom_band_width < 0:
+            raise ValueError(f"diatom_band_width must be >= 0, got {self.diatom_band_width}")
 
 
 @dataclass(frozen=True)
@@ -264,6 +258,8 @@ class ExperimentConfig:
     sweep: SweepSettings = field(default_factory=SweepSettings)
 
     def __post_init__(self):
+        if self.site_count < 3:
+            raise ValueError(f"site_count must be >= 3, got {self.site_count}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         if self.measurement_lattice_depth <= 0:
@@ -287,8 +283,6 @@ class ExperimentConfig:
         data["physical"] = PhysicalParams(**data["physical"])
         prot = dict(data["protocol"])
         prot["snapshot_times_s"] = tuple(prot["snapshot_times_s"])
-        if prot.get("postselect_region") is not None:
-            prot["postselect_region"] = tuple(prot["postselect_region"])
         data["protocol"] = ProtocolSettings(**prot)
         data["sweep"] = SweepSettings(**data["sweep"])
         return cls(**data)
@@ -310,14 +304,21 @@ def _scaled_repr(value: float, scale: float) -> str:
     return repr(value / scale)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # Value types of the INI file: (parse the raw string, format the field).
 # _NANO keys hold SI lengths and temperatures in nm / nK.
-_FLOAT = (float, repr)
+_FLOAT = (_finite, repr)
 _INT = (int, str)
 _STR = (str, str)
-_NANO = (lambda s: float(s) * 1e-9, lambda v: _scaled_repr(v, 1e-9))
+_NANO = (lambda s: _finite(s) * 1e-9, lambda v: _scaled_repr(v, 1e-9))
 _TIMES = (
-    lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
+    lambda s: tuple(_finite(v) for v in s.replace(",", " ").split()),
     lambda v: " ".join(repr(t) for t in v),
 )
 
@@ -506,7 +507,3 @@ def parameter_report(config: ExperimentConfig) -> dict:
         ),
     }
     return report
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

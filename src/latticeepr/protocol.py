@@ -120,7 +120,6 @@ class ProtocolTrace:
     times: np.ndarray
     states: list[TwoAtomState]
     diagnostics: list[SeparationDiagnostics]
-    origin: float
     norm_drift: float
 
     def final(self) -> TwoAtomState:
@@ -146,6 +145,7 @@ def evolve(
     ``times`` are in seconds when ``erec_joule`` is given (energies are in
     E_rec), otherwise in natural units hbar/E_rec.  The Hamiltonian is held
     fixed over the whole span; compose several calls for switched stages.
+    numpy's global random state is left as it was found.
     """
     # Imported on first use, for the reason given in TwoAtomHamiltonian.sparse.
     import scipy.sparse.linalg
@@ -166,17 +166,23 @@ def evolve(
     norm_drift = 0.0
     states: list[TwoAtomState] = []
     diagnostics: list[SeparationDiagnostics] = []
-    for t in times:
-        if t != elapsed:
-            generator = -1j * ((t - elapsed) * scale) * matrix
-            vec = scipy.sparse.linalg.expm_multiply(generator, vec)
-            elapsed = t
-        norm_drift = max(norm_drift, abs(float(np.linalg.norm(vec)) - 1.0))
-        snapshot = TwoAtomState.from_vector(vec, state.site_count)
-        states.append(snapshot)
-        diagnostics.append(separation_diagnostics(snapshot, origin=origin, band=band))
+    # expm_multiply estimates matrix-power norms with onenormest, which
+    # draws from numpy's global random state.
+    rng_state = np.random.get_state()
+    try:
+        for t in times:
+            if t != elapsed:
+                generator = -1j * ((t - elapsed) * scale) * matrix
+                vec = scipy.sparse.linalg.expm_multiply(generator, vec)
+                elapsed = t
+            norm_drift = max(norm_drift, abs(float(np.linalg.norm(vec)) - 1.0))
+            snapshot = TwoAtomState.from_vector(vec, state.site_count)
+            states.append(snapshot)
+            diagnostics.append(separation_diagnostics(snapshot, origin=origin, band=band))
+    finally:
+        np.random.set_state(rng_state)
     return ProtocolTrace(
-        times=times, states=states, diagnostics=diagnostics, origin=origin, norm_drift=norm_drift
+        times=times, states=states, diagnostics=diagnostics, norm_drift=norm_drift
     )
 
 
@@ -200,17 +206,13 @@ def postselect_diatoms(
     return TwoAtomState(kept / np.sqrt(retained)), retained
 
 
-def diagonal_comb_fidelity(
-    state: TwoAtomState,
-    envelope: np.ndarray,
-    max_shift: int = 5,
-) -> float:
+def diagonal_comb_fidelity(state: TwoAtomState, envelope: np.ndarray) -> float:
     """Overlap of the facing-site amplitudes with a target diagonal comb.
 
     The tilt stage leaves the surviving pairs with a rigid drift and a
     uniform momentum boost; both are gauge freedoms of the preparation, so
-    the fidelity is maximized over an integer displacement and a boost
-    phase e^{i q j} before comparing against ``envelope`` (target c_jj).
+    the fidelity is maximized over a displacement of up to 5 sites and a
+    boost phase e^{i q j} before comparing against ``envelope`` (target c_jj).
     """
     diag = np.diag(state.amplitudes).copy()
     norm = np.linalg.norm(diag)
@@ -220,13 +222,11 @@ def diagonal_comb_fidelity(
     target = np.asarray(envelope, dtype=complex)
     target = target / np.linalg.norm(target)
 
-    n = diag.size
     qs = np.linspace(-np.pi, np.pi, 721)
-    j = np.arange(n)
+    boosts = np.exp(-1j * np.outer(qs, np.arange(diag.size)))
     best = 0.0
-    for shift in range(-max_shift, max_shift + 1):
-        rolled = np.roll(target, shift)
-        overlaps = np.abs(np.exp(-1j * np.outer(qs, j)) @ (diag * rolled.conj()))
+    for shift in range(-5, 6):
+        overlaps = np.abs(boosts @ (diag * np.roll(target, shift).conj()))
         best = max(best, float(np.max(overlaps)))
     return best**2
 

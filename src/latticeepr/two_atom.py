@@ -54,10 +54,6 @@ class ExternalPotential:
             raise ValueError("slope must be finite")
 
     @classmethod
-    def none(cls) -> "ExternalPotential":
-        return cls()
-
-    @classmethod
     def harmonic(cls, sigma_e: float, center: float) -> "ExternalPotential":
         return cls(kind="harmonic", sigma_e=sigma_e, center=center)
 
@@ -88,7 +84,7 @@ class TwoAtomState:
         if amp.ndim != 2 or amp.shape[0] != amp.shape[1]:
             raise ValueError(f"amplitudes must be square, got shape {amp.shape}")
         norm = np.sum(np.abs(amp) ** 2)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
 
     @property
@@ -173,7 +169,7 @@ def build(model: ModelParams, external: ExternalPotential | None = None) -> TwoA
         hop=model.hop,
         vdd=model.vdd,
         boundary=model.boundary,
-        external=external or ExternalPotential.none(),
+        external=external or ExternalPotential(),
     )
 
 
@@ -211,7 +207,6 @@ class SpectrumResult:
     order: np.ndarray
     site_count: int
     diatom_band: range
-    single_atom_min: float
     split_gap: float
 
     def state(self, index: int) -> TwoAtomState:
@@ -276,9 +271,9 @@ def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
 
     order = np.argsort(vals, axis=None, kind="stable")
     eigenvalues = vals.ravel()[order]
-    single = single_atom_matrix(n, hamiltonian.hop, hamiltonian.boundary)
-    single_min = float(scipy.linalg.eigvalsh(single)[0])
     if hamiltonian.external.kind == "none":
+        single = single_atom_matrix(n, hamiltonian.hop, hamiltonian.boundary)
+        single_min = float(scipy.linalg.eigvalsh(single)[0])
         band, gap = _detect_diatom_band(eigenvalues, single_min, n)
     else:
         band, gap = range(0), 0.0
@@ -290,7 +285,6 @@ def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
         order=order,
         site_count=n,
         diatom_band=band,
-        single_atom_min=single_min,
         split_gap=gap,
     )
 
@@ -324,7 +318,7 @@ def diatom_effective_mass(
 
 @dataclass(frozen=True)
 class ThermalWeights:
-    """Boltzmann mixture over a subset of eigenstates."""
+    """Boltzmann mixture over the split-off pair band."""
 
     indices: np.ndarray
     weights: np.ndarray
@@ -334,28 +328,20 @@ class ThermalWeights:
 
 
 def thermal_state(
-    spectrum: SpectrumResult,
-    temperature: float,
-    erec_joule: float,
-    subset: str = "diatom",
-    cutoff: float = 1e-12,
+    spectrum: SpectrumResult, temperature: float, erec_joule: float
 ) -> ThermalWeights:
-    """Boltzmann weights exp(-E_n / k_B T) over the chosen eigenstate subset.
+    """Boltzmann weights exp(-E_n / k_B T) over the split-off pair band,
+    dropping states of relative weight 1e-12 or less.
 
-    ``subset`` is 'diatom' (the split-off band) or 'full'.  Temperature in
-    kelvin; energies are converted from E_rec via ``erec_joule``.  T = 0
-    puts all weight on the (possibly degenerate) lowest states.
+    Temperature in kelvin; energies are converted from E_rec via
+    ``erec_joule``.  T = 0 puts all weight on the (possibly degenerate)
+    lowest states.
     """
     if temperature < 0:
         raise ValueError(f"temperature must be non-negative, got {temperature}")
-    if subset == "diatom":
-        if len(spectrum.diatom_band) == 0:
-            raise ValueError("no split-off diatom band to thermalize over")
-        indices = np.array(list(spectrum.diatom_band))
-    elif subset == "full":
-        indices = np.arange(spectrum.eigenvalues.size)
-    else:
-        raise ValueError(f"subset must be 'diatom' or 'full', got {subset!r}")
+    if len(spectrum.diatom_band) == 0:
+        raise ValueError("no split-off diatom band to thermalize over")
+    indices = np.array(list(spectrum.diatom_band))
 
     energies = spectrum.eigenvalues[indices]
     e0 = float(np.min(energies))
@@ -366,6 +352,6 @@ def thermal_state(
         beta = erec_joule / (KB * temperature)
         weights = np.exp(-beta * (energies - e0))
     weights = weights / np.sum(weights)
-    keep = weights > cutoff
+    keep = weights > 1e-12
     indices, weights = indices[keep], weights[keep]
     return ThermalWeights(indices=indices, weights=weights / np.sum(weights))

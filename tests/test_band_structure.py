@@ -51,7 +51,7 @@ class TestBlochSpectrum:
 
     def test_convergence_check_runs(self):
         # n_planewaves = 21 already converges far below the 1e-10 gate
-        bs.bloch_spectrum(10.0, n_planewaves=21, n_k=8, tol=1e-10)
+        bs.bloch_spectrum(10.0, n_planewaves=21, n_k=8)
 
 
 class TestHopping:
@@ -152,10 +152,11 @@ class TestWannier:
         grid, dx = basis.grid, basis.dx
         modes = np.exp(1j * np.outer(grid, freqs))
         h_chi = (modes * (freqs / np.pi) ** 2) @ amps
-        h_chi += -0.5 * basis.u0 * np.cos(2 * np.pi * grid) * (modes @ amps)
+        h_chi += -0.5 * 3.93 * np.cos(2 * np.pi * grid) * (modes @ amps)
         chi1 = basis.site_function(1)
         element = np.sum(chi1 * h_chi.real) * dx
-        assert element == pytest.approx(basis.hop, rel=1e-6)
+        hop = bs.hopping_exact(bs.bloch_spectrum(3.93, n_k=16)).hop
+        assert element == pytest.approx(hop, rel=1e-6)
         assert element == pytest.approx(-0.09, rel=0.10)
 
     def test_momentum_transform_normalized(self, basis):

@@ -426,6 +426,33 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "tight-binding" in result.stderr
 
+    @pytest.mark.parametrize(
+        "key, value, command, code",
+        [
+            ("sigma_e_sites", "nan", "protocol", 2),
+            ("ejection_line_site", "inf", "protocol", 2),
+            ("start", "nan", "sweep", 2),
+            ("snapshot_times_s", "", "protocol", 2),
+            ("temperature_momentum_nk", "nan", "dist", 2),
+            ("site_count", "2", "spectrum", 2),
+            ("diatom_band_width", "-1", "protocol", 2),
+            ("mass_kg", "nan", "params", 2),
+            ("lattice_shift_nm", "nan", "params", 2),
+            ("measurement_lattice_depth_erec", "nan", "dist", 2),
+            ("slope_erec_per_site", "nan", "protocol", 2),
+            # a valid config whose envelope lies off the lattice
+            ("center_site", "1000", "protocol", 3),
+        ],
+    )
+    def test_bad_value_fails_with_exit_code(self, tmp_path, capsys, key, value, command, code):
+        text = CONFIG.read_text()
+        (line,) = [line for line in text.splitlines() if line.startswith(f"{key} = ")]
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(line, f"{key} = {value}"))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == code
+        prefix = "config error:" if code == 2 else "numerical error"
+        assert capsys.readouterr().err.startswith(prefix)
+
     def test_init_config(self, tmp_path):
         target = tmp_path / "fresh.ini"
         run_cli("init-config", str(target))

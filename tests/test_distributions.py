@@ -354,7 +354,7 @@ class TestThermalFormulas:
 
 class TestGaussianReference:
     def test_normalization(self):
-        ref = dist.gaussian_epr_reference(0.2, 3.0)
+        ref = dist.GaussianEprReference(0.2, 3.0)
         x = np.linspace(-12, 12, 601)
         density = ref.position_density(x[:, None], x[None, :])
         mass = np.trapezoid(np.trapezoid(density, x, axis=1), x)
@@ -366,7 +366,7 @@ class TestGaussianReference:
         assert pmass == pytest.approx(1.0, abs=1e-6)
 
     def test_conditional_formulas_against_slices(self):
-        ref = dist.gaussian_epr_reference(0.3, 2.0)
+        ref = dist.GaussianEprReference(0.3, 2.0)
         x1 = 1.4
         x2 = np.linspace(-10, 10, 20001)
         slice_density = ref.position_density(x1, x2)
@@ -377,15 +377,15 @@ class TestGaussianReference:
         assert width == pytest.approx(ref.conditional_width(), rel=1e-6)
 
     def test_strong_squeezing_limit(self):
-        ref = dist.gaussian_epr_reference(1e-4, 1.0)
+        ref = dist.GaussianEprReference(1e-4, 1.0)
         assert ref.conditional_center(0.7) == pytest.approx(0.7, rel=1e-6)
         assert ref.conditional_width() == pytest.approx(1e-4, rel=1e-6)
 
     def test_product_state_limit(self):
-        ref = dist.gaussian_epr_reference(1.0, 1.0)
+        ref = dist.GaussianEprReference(1.0, 1.0)
         assert ref.conditional_center(0.7) == 0.0
 
     def test_momentum_widths_are_inverse(self):
-        ref = dist.gaussian_epr_reference(0.2, 5.0)
+        ref = dist.GaussianEprReference(0.2, 5.0)
         assert ref.dp_minus == pytest.approx(5.0, rel=1e-12)
         assert ref.dp_plus == pytest.approx(0.2, rel=1e-12)

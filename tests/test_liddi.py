@@ -38,7 +38,7 @@ class TestPolarizability:
 
 class TestFTheta:
     def test_perpendicular_small_kr_asymptote(self):
-        for kr in (1e-3, 1e-2):
+        for kr in (1e-6, 1e-3, 1e-2):
             assert liddi.f_theta(kr, np.pi / 2) == pytest.approx(2 / kr**3, rel=2 * kr**2)
 
     def test_perpendicular_at_pi(self):
@@ -56,10 +56,6 @@ class TestFTheta:
         values = liddi.f_theta(kr[:, None], theta[None, :])
         assert np.all(np.isfinite(values))
         assert np.max(np.abs(values)) <= 2 / 0.1**3 * 1.01
-
-    def test_near_zone_switch(self):
-        assert not liddi.near_zone_validity(1e-5)
-        assert liddi.near_zone_validity(0.5)
 
     def test_rejects_nonpositive_kr(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,18 @@ class TestEvolve:
         for a, b in zip(*runs):
             assert np.array_equal(a.amplitudes, b.amplitudes)
 
+    def test_leaves_global_rng_alone(self):
+        config, model, ham, psi0 = lithium_protocol()
+        saved = np.random.get_state()
+        try:
+            np.random.seed(5)
+            pr.evolve(psi0, ham, config.protocol.snapshot_times_s, erec_joule=model.recoil_energy)
+            after = np.random.random()
+            np.random.seed(5)
+            assert after == np.random.random()
+        finally:
+            np.random.set_state(saved)
+
     def test_lithium_100_sites_conserves_norm_and_energy(self):
         config, model, ham, psi0 = lithium_protocol(100)
         times = config.protocol.snapshot_times_s

@@ -268,7 +268,7 @@ class TestThermalState:
 
     def test_weights_normalized(self):
         spectrum = diagonalized(-0.0881, -0.4693)
-        thermal = ta.thermal_state(spectrum, 1e-7, 1.81e-28, subset="full")
+        thermal = ta.thermal_state(spectrum, 1e-7, 1.81e-28)
         assert np.sum(thermal.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_temperature_rejected(self):
