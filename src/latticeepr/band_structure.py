@@ -190,6 +190,29 @@ def mathieu_band_edges(u0: float) -> tuple[float, float]:
     return float(mathieu_a(0, q)), float(mathieu_b(1, q))
 
 
+def fourier_indices(p: np.ndarray, n_sites: int = 1) -> tuple[np.ndarray, int]:
+    """Integers k with p = k dp on the Fourier grid of spacing
+    dp = 2 pi / M, and M.  ValueError unless ``p`` is uniform, its spacing
+    divides 2 pi into M >= ``n_sites`` steps and its points are multiples
+    of the spacing."""
+    if p.ndim != 1 or p.size < 2:
+        raise ValueError("momentum grid needs at least two points")
+    step = p[1] - p[0]
+    if not np.all(np.abs(np.diff(p) - step) <= 1e-9 * abs(step)):
+        raise ValueError("momentum grid is not uniform")
+    m = int(round(G / step)) if step > 0 else 0
+    if m < n_sites:
+        raise ValueError(
+            f"momentum grid spacing {step} gives {m} points per 2 pi, fewer than {n_sites} sites"
+        )
+    if abs(m * step - G) > 1e-9 * G:
+        raise ValueError(f"momentum grid spacing {step} does not divide 2 pi")
+    k = np.rint(p / step)
+    if np.any(np.abs(p - k * step) > 1e-9 * step):
+        raise ValueError("momentum grid points are not multiples of the spacing")
+    return k.astype(int), m
+
+
 @dataclass(frozen=True)
 class WannierBasis:
     """Lowest-band Wannier function on a grid covering the whole lattice.
@@ -225,11 +248,25 @@ class WannierBasis:
         return np.stack([self.site_function(j) for j in range(self.site_count)])
 
     def momentum_transform(self, p) -> np.ndarray:
-        """Fourier transform chi~(p) = (2 pi)^(-1/2) int chi_0(x) e^{-ipx} dx."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        xc = self.centered_grid()
-        phases = np.exp(-1j * np.outer(p, xc))
-        return (phases @ self.wannier_0) * self.dx / np.sqrt(2.0 * np.pi)
+        """Fourier transform chi~(p) = (2 pi)^(-1/2) int chi_0(x) e^{-ipx} dx,
+        as the Riemann sum over the centered grid, on a Fourier grid
+        p = 2 pi k / M (see ``fourier_indices``).
+
+        The centered grid points are x = -1/2 + j / ppc with integer j, so
+        e^{-ipx} = e^{ip/2} e^{-2 pi i r k j / L} on a buffer of L = r M ppc
+        points, r the smallest multiple that holds all N ppc offsets: the
+        sum is one length-L FFT read at r k mod L.
+        """
+        p = np.asarray(p, dtype=float)
+        k, m = fourier_indices(p)
+        ppc = self.points_per_cell
+        r = -(-self.site_count // m)
+        size = r * m * ppc
+        offsets = np.rint((self.centered_grid() + 0.5) * ppc).astype(int)
+        buffer = np.zeros(size)
+        buffer[offsets % size] = self.wannier_0
+        spectrum = np.fft.fft(buffer)[(r * k) % size]
+        return spectrum * np.exp(0.5j * p) * (self.dx / np.sqrt(2.0 * np.pi))
 
 
 def wannier(spectrum: BlochSpectrum, points_per_cell: int = 64) -> WannierBasis:
@@ -264,9 +301,15 @@ def wannier(spectrum: BlochSpectrum, points_per_cell: int = 64) -> WannierBasis:
     freqs = (ks[:, None] + G * pw[None, :]).ravel()
     amps = (coeffs / n).ravel().astype(complex)
 
+    # Every mode sits on the comb f = 2 pi q / N and every grid point on
+    # x = -1/2 + i / ppc, so sum_q a_q e^{i f x} is an inverse DFT of
+    # length N ppc of a_q e^{-i f/2}, folded onto q mod N ppc (modes that
+    # alias take the same values on the grid).
     n_grid = n * points_per_cell
     grid = -0.5 + np.arange(n_grid) / points_per_cell
-    values = np.exp(1j * np.outer(grid, freqs)) @ amps
+    folded = np.zeros(n_grid, dtype=complex)
+    np.add.at(folded, np.rint(freqs * n / G).astype(int) % n_grid, amps * np.exp(-0.5j * freqs))
+    values = np.fft.ifft(folded) * n_grid
     imag_residual = float(np.max(np.abs(values.imag)))
     if imag_residual > 1e-8:
         raise GaugeError(f"Wannier function not real: residual {imag_residual:.2e}")

@@ -77,10 +77,16 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def plot_stride(points: int) -> int:
+    """Smallest stride that leaves at most 320 of ``points`` grid points
+    per axis in a written matrix."""
+    return max(1, -(-points // 320))
+
+
 def decimate_joint(joint: distributions.JointDistribution) -> distributions.JointDistribution:
     """Stride the grid down to at most 320 points per axis for plotting
     (metrics stay on the full grid)."""
-    stride = max(1, int(np.ceil(joint.axis1.size / 320)))
+    stride = plot_stride(joint.axis1.size)
     if stride == 1:
         return joint
     return distributions.JointDistribution(
@@ -95,15 +101,16 @@ def write_matrix(path: Path, joint: distributions.JointDistribution, comment: st
     """Gnuplot `splot`-ready blocks: x1 x2 density, blank line per x1."""
     joint = decimate_joint(joint)
     unit = "a" if joint.kind == "position" else "hbar/a"
-    x2s = [_fmt(x2) for x2 in joint.axis2]
+    cells = [f"{_fmt(x2)} %.12g" for x2 in joint.axis2]
     # Written row by row, so no copy of the whole file is held in memory.
-    # A memoryview row yields Python floats, and f"{v:.12g}" of a Python
-    # float is what _fmt writes for it, nan included.
+    # Each row is one %-format of its Python floats; "%.12g" % v is what
+    # _fmt writes for a float, nan and inf included.
     with path.open("w") as f:
         f.write(f"# {comment}\n# columns: axis1 [{unit}], axis2 [{unit}], probability density\n")
         for x1, block in zip(joint.axis1, joint.density):
-            x1s = _fmt(x1)
-            f.write("\n".join(f"{x1s} {x2} {v:.12g}" for x2, v in zip(x2s, memoryview(block))))
+            prefix = _fmt(x1) + " "
+            template = prefix + ("\n" + prefix).join(cells)
+            f.write(template % tuple(block.tolist()))
             f.write("\n\n")
 
 
@@ -314,6 +321,8 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
     psi0, trace = _protocol_trace(config, model, prot.slope_erec_per_site, prot.snapshot_times_s)
 
     basis = _wannier_basis(config, model.lattice_depth)
+    # the snapshots are computed only on the points that write_matrix keeps
+    stride = plot_stride(basis.grid.size)
 
     outputs = []
     rows = []
@@ -330,7 +339,7 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
                 diag.displacement_ratio,
             )
         )
-        joint = distributions.position_joint(state, basis)
+        joint = distributions.position_joint(state, basis, stride)
         name = f"snapshot_{i:03d}.dat"
         write_matrix(out / name, joint, f"joint position density at t = {t} s")
         outputs.append(name)
@@ -497,7 +506,9 @@ def cmd_sweep(
         parameter, values = _parse_range(grid_spec)
     tasks = [(config, parameter, float(v)) for v in values]
     if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool under fork starts all its workers at once
+        workers = min(jobs, len(tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:
         rows = [_sweep_worker(t) for t in tasks]

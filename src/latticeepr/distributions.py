@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .band_structure import WannierBasis
+from .band_structure import WannierBasis, fourier_indices
 from .constants import HBAR, KB
 from .two_atom import TwoAtomState
 
@@ -61,22 +61,25 @@ def _position_amplitude(state: TwoAtomState, site_matrix: np.ndarray) -> np.ndar
     return site_matrix.T @ state.amplitudes @ site_matrix
 
 
-def position_joint(state: TwoAtomState, basis: WannierBasis) -> JointDistribution:
+def position_joint(
+    state: TwoAtomState, basis: WannierBasis, stride: int = 1
+) -> JointDistribution:
     """P(x1, x2) including the Wannier cross terms."""
-    return thermal_position_joint([state], [1.0], basis)
+    return thermal_position_joint([state], [1.0], basis, stride)
 
 
 def thermal_position_joint(
     states: Sequence[TwoAtomState],
     weights: Sequence[float],
     basis: WannierBasis,
+    stride: int = 1,
 ) -> JointDistribution:
-    """Incoherent mixture of per-state joint position densities, on the
-    Wannier grid of ``basis``."""
+    """Incoherent mixture of per-state joint position densities, on every
+    ``stride``-th point of the Wannier grid of ``basis``."""
     if basis.points_per_cell < 16:
         raise ValueError(f"resolution below 16 points per cell: {basis.points_per_cell}")
-    site_matrix = basis.site_matrix()
-    grid = basis.grid
+    site_matrix = basis.site_matrix()[:, ::stride]
+    grid = basis.grid[::stride]
     density = np.zeros((grid.size, grid.size))
     for state, weight in zip(states, weights):
         amp = _position_amplitude(state, site_matrix)
@@ -120,7 +123,8 @@ def thermal_momentum_joint(
     (M = 8N) does.
     """
     p = default_momentum_grid(basis) if grid is None else np.asarray(grid, float)
-    k, m = _fourier_indices(p, states[0].site_count)
+    k, m = fourier_indices(p, states[0].site_count)
+    k %= m
     power = np.zeros((m, m))
     for state, weight in zip(states, weights):
         structure = np.fft.fft2(state.amplitudes, s=(m, m))
@@ -130,28 +134,6 @@ def thermal_momentum_joint(
     density *= envelope[:, None]
     density *= envelope[None, :]
     return JointDistribution(p.copy(), p.copy(), density, "momentum")
-
-
-def _fourier_indices(p: np.ndarray, n_sites: int) -> tuple[np.ndarray, int]:
-    """Indices k mod M of the grid points p = k dp on the M-point Fourier
-    grid of spacing dp = 2 pi / M, and M; ValueError if no such M >= N
-    serves the grid."""
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("momentum grid needs at least two points")
-    step = p[1] - p[0]
-    if not np.all(np.abs(np.diff(p) - step) <= 1e-9 * abs(step)):
-        raise ValueError("momentum grid is not uniform")
-    m = int(round(RECIPROCAL / step)) if step > 0 else 0
-    if m < n_sites:
-        raise ValueError(
-            f"momentum grid spacing {step} gives {m} points per 2 pi, fewer than {n_sites} sites"
-        )
-    if abs(m * step - RECIPROCAL) > 1e-9 * RECIPROCAL:
-        raise ValueError(f"momentum grid spacing {step} does not divide 2 pi")
-    k = np.rint(p / step)
-    if np.any(np.abs(p - k * step) > 1e-9 * step):
-        raise ValueError("momentum grid points are not multiples of the spacing")
-    return k.astype(int) % m, m
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,8 @@ class SweepSettings:
             )
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
+        if not (np.isfinite(self.start) and np.isfinite(self.stop)):
+            raise ValueError(f"start and stop must be finite, got {self.start} and {self.stop}")
 
     def grid(self) -> np.ndarray:
         if self.steps == 0:

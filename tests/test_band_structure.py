@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeepr import band_structure as bs
 
@@ -160,9 +162,49 @@ class TestWannier:
         assert element == pytest.approx(-0.09, rel=0.10)
 
     def test_momentum_transform_normalized(self, basis):
-        p = np.linspace(-40, 40, 4001)
+        p = 2 * np.pi / 314 * np.arange(-2000, 2001)
         density = np.abs(basis.momentum_transform(p)) ** 2
         assert np.trapezoid(density, p) == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(
+        site_count=st.integers(8, 40),
+        points_per_cell=st.sampled_from([16, 32, 64]),
+        depth=st.floats(2.0, 15.0),
+    )
+    def test_wannier_matches_dense_mode_sum(self, site_count, points_per_cell, depth):
+        basis = bs.wannier(bs.bloch_spectrum(depth, n_k=site_count), points_per_cell)
+        dense = np.exp(1j * np.outer(basis.grid, basis.mode_freqs)) @ basis.mode_amps
+        scale = np.max(np.abs(basis.wannier_0))
+        assert np.max(np.abs(dense - basis.wannier_0)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "per_2pi, first",
+        [
+            (128, -300),     # the default-grid form, M = 8N
+            (16, -40),       # M = N
+            (5, -12),        # M < N: the sum needs a longer FFT than M ppc
+            (37, 64 * 37),   # from 2 pi ppc on, past the transform's period
+            (20, -64 * 20 - 7),
+        ],
+    )
+    def test_momentum_transform_matches_riemann_sum(self, basis, per_2pi, first):
+        p = 2 * np.pi / per_2pi * np.arange(first, first + 3 * per_2pi + 2)
+        xc = basis.centered_grid()
+        expected = (np.exp(-1j * np.outer(p, xc)) @ basis.wannier_0) * basis.dx / np.sqrt(2 * np.pi)
+        assert np.max(np.abs(basis.momentum_transform(p) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.linspace(-40, 40, 4001),
+            2 * np.pi / 64 * (np.arange(-50, 50) + 0.5),
+            np.array([0.0]),
+        ],
+    )
+    def test_momentum_transform_rejects_non_fourier_grid(self, basis, p):
+        with pytest.raises(ValueError):
+            basis.momentum_transform(p)
 
 
 class TestGaussianApprox:

@@ -160,9 +160,9 @@ class TestArtifacts:
         axis = np.linspace(-3.0, 3.0, size)
         density = np.random.default_rng(7).random((size, size)) * 1e-3
         stride = max(1, int(np.ceil(size / 320)))
-        special = [np.nan, -0.0, 1e-300, 0.1 + 0.2]
+        special = [np.nan, -0.0, 1e-300, 0.1 + 0.2, np.inf, 1e22, 5e-324]
         for i, value in enumerate(special):
-            density[i * stride, (i + 1) * stride] = value
+            density[i // 4 * stride, (i % 4 + 1) * stride] = value
         joint = distributions.JointDistribution(axis, axis.copy(), density, "momentum")
         cli.write_matrix(tmp_path / "m.dat", joint, "test")
 
@@ -177,8 +177,47 @@ class TestArtifacts:
         text = (tmp_path / "m.dat").read_text()
         assert text.splitlines() == expected
         assert text.endswith("\n\n")
-        for value in ("nan", "-0", "1e-300", "0.3"):
+        for value in ("nan", "-0", "1e-300", "0.3", "inf", "1e+22", "4.94065645841e-324"):
             assert any(line.endswith(f" {value}") for line in expected)
+
+    def test_snapshots_match_decimated_full_grid(self, tmp_path, monkeypatch):
+        # each snapshot is the full-grid joint with write_matrix's stride
+        # applied, and no joint of more than 320 points per axis is formed
+        written, amplitudes = {}, []
+        write_matrix, amplitude = cli.write_matrix, distributions._position_amplitude
+
+        def recording_write(path, joint, comment):
+            written[path.name] = joint
+            write_matrix(path, joint, comment)
+
+        def recording_amplitude(state, site_matrix):
+            amplitudes.append(site_matrix.shape[1])
+            return amplitude(state, site_matrix)
+
+        monkeypatch.setattr(cli, "write_matrix", recording_write)
+        monkeypatch.setattr(distributions, "_position_amplitude", recording_amplitude)
+        config = lithium_default()
+        assert cli.main(["--out", str(tmp_path), "protocol"]) == 0
+        assert sorted(written) == ["snapshot_000.dat", "snapshot_001.dat", "snapshot_002.dat"]
+        assert amplitudes and max(amplitudes) <= 320
+
+        prot = config.protocol
+        model = config.model(boundary=prot.boundary)
+        _, trace = cli._protocol_trace(config, model, prot.slope_erec_per_site, prot.snapshot_times_s)
+        basis = cli._wannier_basis(config, model.lattice_depth)
+        assert basis.grid.size > 320
+        for i, state in enumerate(trace.states):
+            full = cli.decimate_joint(distributions.position_joint(state, basis))
+            name = f"snapshot_{i:03d}.dat"
+            shown = written[name]
+            assert np.array_equal(shown.axis1, full.axis1)
+            assert np.array_equal(shown.axis2, full.axis2)
+            scale = np.max(full.density)
+            assert np.max(np.abs(shown.density - full.density)) <= 1e-12 * scale
+            write_matrix(tmp_path / "full.dat", full, f"joint position density at t = {trace.times[i]} s")
+            got = np.loadtxt(tmp_path / name)
+            want = np.loadtxt(tmp_path / "full.dat")
+            assert np.allclose(got, want, rtol=1e-11, atol=1e-12 * scale)
 
 
 class TestSweep:
@@ -360,6 +399,30 @@ class TestDeterminism:
             manifest = json.loads((out / "run_manifest.json").read_text())
             assert manifest["warnings"] == expected
 
+    def test_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        # under fork a pool starts all max_workers processes at once; this
+        # recorder stands in for the pool and starts none
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        argv = ["--out", str(tmp_path), "--jobs", "5000", "sweep", "sigma_E 1:2:2"]
+        assert cli.main(argv) == 0
+        assert pools == [2]
+        assert len(sweep_rows(tmp_path)) == 2
+
     def test_process_pool_matches_serial(self, tmp_path):
         tables = []
         for jobs in ("1", "2"):
@@ -452,6 +515,12 @@ class TestExitCodes:
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == code
         prefix = "config error:" if code == 2 else "numerical error"
         assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("spec", ["vdd nan:1:2", "T inf:1e-7:2", "vdd 0:-inf:3"])
+    def test_non_finite_sweep_range_is_config_error(self, tmp_path, capsys, spec):
+        assert cli.main(["--out", str(tmp_path), "--jobs", "1", "sweep", spec]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_init_config(self, tmp_path):
         target = tmp_path / "fresh.ini"
