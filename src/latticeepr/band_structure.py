@@ -207,6 +207,8 @@ def fourier_indices(p: np.ndarray, n_sites: int = 1) -> tuple[np.ndarray, int]:
         )
     if abs(m * step - G) > 1e-9 * G:
         raise ValueError(f"momentum grid spacing {step} does not divide 2 pi")
+    # p[1] - p[0] carries the rounding of |p|; 2 pi / M does not
+    step = G / m
     k = np.rint(p / step)
     if np.any(np.abs(p - k * step) > 1e-9 * step):
         raise ValueError("momentum grid points are not multiples of the spacing")

@@ -369,6 +369,9 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
         "ejection_line_site": prot.ejection_line_site,
         "ejected": trace.diagnostics[-1].single_centroid > prot.ejection_line_site,
         "evolve_norm_drift": trace.norm_drift,
+        "envelope_tail_mass": protocol.envelope_tail_mass(
+            prot.sigma_e_sites, prot.center_site, config.site_count
+        ),
     }
     (out / "postselect.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     outputs.append("postselect.json")

@@ -4,10 +4,11 @@ then pull unpaired atoms away from the heavy bound pairs with a tilt.
 The three steps are modeled as sudden switches: the cooled state is
 constructed directly as a product of Gaussian site envelopes, and the
 separation stage evolves it under the lattice + pair interaction + linear
-tilt Hamiltonian, applying the exponential of the sparse Hamiltonian to
-the state from snapshot to snapshot and recording how far the norm drifts
-from one.  The light single atoms run roughly |V_hop / V_hop_pair| times
-farther down the tilt than the pairs before their band turns them around.
+tilt Hamiltonian.  From snapshot to snapshot a Chebyshev series in the
+matrix-free two-atom H propagates the N x N amplitude matrix, and the
+trace records how far the norm drifts from one.  The light single atoms
+run roughly |V_hop / V_hop_pair| times farther down the tilt than the
+pairs before their band turns them around.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ from .constants import HBAR, KB
 from .two_atom import SpectrumResult, TwoAtomHamiltonian, TwoAtomState
 
 ENVELOPE_TAIL_TOLERANCE = 1e-4
+
+
+def envelope_tail_mass(sigma_e: float, center: float, site_count: int) -> float:
+    """Share of the weight sum_j alpha_j^2 that the envelope would carry on
+    the infinite lattice and that falls off sites 0..N-1."""
+    j = np.arange(-8 * site_count, 9 * site_count)
+    weight = np.exp(-((j - center) ** 2) / (2.0 * sigma_e**2))
+    return float(1.0 - np.sum(weight[8 * site_count : 9 * site_count]) / np.sum(weight))
 
 
 def gaussian_envelope(sigma_e: float, center: float, site_count: int) -> np.ndarray:
@@ -39,19 +48,13 @@ def gaussian_envelope(sigma_e: float, center: float, site_count: int) -> np.ndar
         )
     j = np.arange(site_count, dtype=float)
     alpha = np.exp(-((j - center) ** 2) / (4.0 * sigma_e**2))
-    norm = np.sum(alpha**2)
-    # weight the infinite lattice would carry beyond this one
-    full = np.sum(
-        np.exp(-((np.arange(-8 * site_count, 9 * site_count) - center) ** 2)
-               / (2.0 * sigma_e**2))
-    )
-    tail = 1.0 - norm / full
+    tail = envelope_tail_mass(sigma_e, center, site_count)
     if tail > ENVELOPE_TAIL_TOLERANCE:
         warnings.warn(
             f"envelope clipped by the lattice boundary: tail mass {tail:.2e}",
             stacklevel=2,
         )
-    return alpha / np.sqrt(norm)
+    return alpha / np.sqrt(np.sum(alpha**2))
 
 
 def initial_state(sigma_e: float, center: float, site_count: int) -> TwoAtomState:
@@ -137,23 +140,19 @@ def evolve(
     """Propagate from snapshot to snapshot, psi(t) = e^{-i H (t - t')} psi(t'),
     starting from ``state`` at t' = 0.
 
-    Each step applies the exponential of the sparse H to the state by the
-    truncated Taylor series of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-    488 (2011) (``scipy.sparse.linalg.expm_multiply``); a step of zero
-    length is the identity.  The unrenormalized state is carried from step
-    to step, so the trace's ``norm_drift`` accumulates over the run.
-    ``times`` are in seconds when ``erec_joule`` is given (energies are in
-    E_rec), otherwise in natural units hbar/E_rec.  The Hamiltonian is held
-    fixed over the whole span; compose several calls for switched stages.
-    numpy's global random state is left as it was found.
+    Each step is ``TwoAtomHamiltonian.propagate``: a Chebyshev series in
+    the matrix-free H (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)) whose dropped terms sum to at most 1e-15 of the norm; a step
+    of zero length is the identity.  The unrenormalized state is carried
+    from step to step, so the trace's ``norm_drift`` accumulates over the
+    run.  ``times`` are in seconds when ``erec_joule`` is given (energies
+    are in E_rec), otherwise in natural units hbar/E_rec.  The Hamiltonian
+    is held fixed over the whole span; compose several calls for switched
+    stages.
     """
-    # Imported on first use, for the reason given in TwoAtomHamiltonian.sparse.
-    import scipy.sparse.linalg
-
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(np.diff(times) < 0):
         raise ValueError("snapshot times must be non-decreasing")
-    matrix = hamiltonian.sparse()
 
     scale = erec_joule / HBAR if erec_joule is not None else 1.0
     if origin is None:
@@ -161,26 +160,19 @@ def evolve(
             np.sum(np.arange(state.site_count)[:, None] * np.abs(state.amplitudes) ** 2)
         )
 
-    vec = state.vector().astype(complex)
+    amplitudes = state.amplitudes.astype(complex)
     elapsed = 0.0
     norm_drift = 0.0
     states: list[TwoAtomState] = []
     diagnostics: list[SeparationDiagnostics] = []
-    # expm_multiply estimates matrix-power norms with onenormest, which
-    # draws from numpy's global random state.
-    rng_state = np.random.get_state()
-    try:
-        for t in times:
-            if t != elapsed:
-                generator = -1j * ((t - elapsed) * scale) * matrix
-                vec = scipy.sparse.linalg.expm_multiply(generator, vec)
-                elapsed = t
-            norm_drift = max(norm_drift, abs(float(np.linalg.norm(vec)) - 1.0))
-            snapshot = TwoAtomState.from_vector(vec, state.site_count)
-            states.append(snapshot)
-            diagnostics.append(separation_diagnostics(snapshot, origin=origin, band=band))
-    finally:
-        np.random.set_state(rng_state)
+    for t in times:
+        if t != elapsed:
+            amplitudes = hamiltonian.propagate(amplitudes, (t - elapsed) * scale)
+            elapsed = t
+        norm_drift = max(norm_drift, abs(float(np.linalg.norm(amplitudes)) - 1.0))
+        snapshot = TwoAtomState.from_vector(amplitudes, state.site_count)
+        states.append(snapshot)
+        diagnostics.append(separation_diagnostics(snapshot, origin=origin, band=band))
     return ProtocolTrace(
         times=times, states=states, diagnostics=diagnostics, norm_drift=norm_drift
     )

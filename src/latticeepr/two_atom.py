@@ -14,7 +14,7 @@ instead of the N^2 x N^2 matrix (Valiente & Petrosyan, J. Phys. B 41,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -22,8 +22,7 @@ import scipy.linalg
 from .constants import KB
 from .parameters import ModelParams
 
-if TYPE_CHECKING:
-    import scipy.sparse
+CHEBYSHEV_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,15 @@ class TwoAtomState:
 
 @dataclass(frozen=True)
 class TwoAtomHamiltonian:
-    """The scalars that define the two-atom Hamiltonian."""
+    """H = h x 1 + 1 x h + D: the scalars that define it and its action.
+
+    ``h`` is the tridiagonal single-atom hop (``single_atom_matrix``); it
+    moves one atom at a time.  D is diagonal in the product basis,
+    D_jl = e1_j + e2_l + V_dd delta_jl: the external potential felt by
+    each atom and the interaction on facing sites.  On the N x N amplitude
+    matrix C, H C = h C + C h + D o C (elementwise product), so H is
+    applied without forming any N^2 x N^2 matrix.
+    """
 
     site_count: int
     hop: float
@@ -115,32 +122,116 @@ class TwoAtomHamiltonian:
     boundary: str
     external: ExternalPotential
 
-    def sparse(self) -> scipy.sparse.csr_array:
-        """H = H_lat x 1 + 1 x H_lat + V_dd sum_j |jj><jj| + external, as
-        an N^2 x N^2 CSR matrix in the product basis with at most 5 N^2
-        entries: hopping moves one atom at a time, and the rest is diagonal."""
-        # Imported on first use: the ring solver never needs scipy.sparse,
-        # and loading it raises the peak RSS of `spectrum` and `dist` by 3-5%.
-        import scipy.sparse
-
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """D_jl, the N x N diagonal of H in the product basis."""
         n = self.site_count
-        single = scipy.sparse.csr_array(single_atom_matrix(n, self.hop, self.boundary))
-        eye = scipy.sparse.eye_array(n, format="csr")
         site_e = self.external.site_energies(n, self.hop)
         e1 = site_e if self.external.species in ("both", "first") else np.zeros(n)
         e2 = site_e if self.external.species in ("both", "second") else np.zeros(n)
         diagonal = np.add.outer(e1, e2)
         diagonal[np.diag_indices(n)] += self.vdd  # facing-site states j == l
-        hopping = scipy.sparse.kron(single, eye) + scipy.sparse.kron(eye, single)
-        return (hopping + scipy.sparse.diags_array(diagonal.ravel())).tocsr()
+        diagonal.flags.writeable = False  # cached: H must not change under its users
+        return diagonal
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """H C for the N x N amplitude matrix C."""
+        return _apply(amplitudes, self.hop, self.diagonal, self.boundary == "periodic")
+
+    def spectral_bounds(self) -> tuple[float, float]:
+        """Gershgorin bounds on the spectrum: min and max of
+        D_jl -/+ (r_j + r_l), r the absolute row sums of h."""
+        r = np.sum(np.abs(single_atom_matrix(self.site_count, self.hop, self.boundary)), axis=1)
+        radius = np.add.outer(r, r)
+        return float(np.min(self.diagonal - radius)), float(np.max(self.diagonal + radius))
+
+    def propagate(self, amplitudes: np.ndarray, step: float) -> np.ndarray:
+        """e^{-i H step} C by the Chebyshev series of Tal-Ezer & Kosloff,
+        J. Chem. Phys. 81, 3967 (1984).
+
+        The Gershgorin bounds map H to X = (H - c) / w with spectrum in
+        [-1, 1], and e^{-i H s} = e^{-i c s} sum_k (2 - delta_k0) (-i)^k
+        J_k(w s) T_k(X), with J_k(-x) = (-1)^k J_k(x) for s < 0.  Since
+        |T_k(X)| <= 1, the truncation error is at most ``CHEBYSHEV_TAIL``
+        times |C|.  A zero step is the identity, and an H of zero spectral
+        width a pure phase.
+        """
+        lo, hi = self.spectral_bounds()
+        center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        phase = np.exp(-1j * center * step)
+        x = half * abs(step)
+        if x <= CHEBYSHEV_TAIL:  # |e^{-i x X} - 1| <= x
+            return phase * amplitudes
+        coeffs = _bessel_series(x)
+        coeffs = coeffs * (-1j * np.sign(step)) ** np.arange(coeffs.size)
+        coeffs[1:] *= 2.0
+        # T_{k+1} = 2X T_k - T_{k-1}, with 2X applied as one operator
+        hop, diagonal = 2.0 * self.hop / half, 2.0 * (self.diagonal - center) / half
+        periodic = self.boundary == "periodic"
+        prev, cur = amplitudes, 0.5 * _apply(amplitudes, hop, diagonal, periodic)
+        total = coeffs[0] * prev + coeffs[1] * cur
+        for a in coeffs[2:]:
+            nxt = _apply(cur, hop, diagonal, periodic)
+            nxt -= prev
+            prev, cur = cur, nxt
+            total += a * cur
+        return phase * total
 
     def dense(self) -> np.ndarray:
-        """``sparse()`` as a dense N^2 x N^2 array."""
-        return self.sparse().toarray()
+        """H as a dense N^2 x N^2 array, row-major in (j, l)."""
+        n = self.site_count
+        single = single_atom_matrix(n, self.hop, self.boundary)
+        matrix = np.zeros((n, n, n, n))
+        sites = np.arange(n)
+        matrix[:, sites, :, sites] = single  # atom 1 hops: <j l|H|j' l> = h_jj'
+        matrix[sites, :, sites, :] += single  # atom 2 hops: <j l|H|j l'> = h_ll'
+        matrix = matrix.reshape(n * n, n * n)
+        matrix[np.diag_indices(n * n)] += self.diagonal.ravel()
+        return matrix
 
     def expectation(self, state: TwoAtomState) -> float:
-        vec = state.vector()
-        return float(np.real(np.vdot(vec, self.sparse() @ vec)))
+        return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
+
+
+def _apply(amplitudes: np.ndarray, hop: float, diagonal: np.ndarray, periodic: bool) -> np.ndarray:
+    """h C + C h + D o C: the hop as shifted slices along each axis, with
+    the ring wrap when ``periodic``."""
+    c = amplitudes
+    out = diagonal * c
+    out[1:] += hop * c[:-1]
+    out[:-1] += hop * c[1:]
+    out[:, 1:] += hop * c[:, :-1]
+    out[:, :-1] += hop * c[:, 1:]
+    if periodic:
+        out[0] += hop * c[-1]
+        out[-1] += hop * c[0]
+        out[:, 0] += hop * c[:, -1]
+        out[:, -1] += hop * c[:, 0]
+    return out
+
+
+def _bessel_series(x: float) -> np.ndarray:
+    """J_k(x), k = 0..K, for x > ``CHEBYSHEV_TAIL``, with K >= 1 the first
+    index past which 2 sum_{k>K} |J_k(x)| is at most ``CHEBYSHEV_TAIL``.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started
+    at k = x + 20 x^(1/3) + 30, where J_k(x) < 1e-40 (the turning region
+    around k = x is ~x^(1/3) wide), and rescaled whenever it grows past
+    1e100; the sign comes from J_0 + 2 sum J_2k = 1 and the scale from
+    J_0^2 + 2 sum J_k^2 = 1, a sum of positive terms.
+    """
+    start = int(x + 20.0 * x ** (1.0 / 3.0)) + 30
+    values = [0.0] * (start + 2)
+    values[start] = 1.0
+    for k in range(start, 0, -1):
+        values[k - 1] = 2.0 * k / x * values[k] - values[k + 1]
+        if abs(values[k - 1]) > 1e100:
+            values[k - 1 :] = [v * 1e-100 for v in values[k - 1 :]]
+    j = np.array(values)
+    sign = np.sign(j[0] + 2.0 * np.sum(j[2::2]))
+    j *= sign / np.sqrt(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2))
+    tail = 2.0 * np.cumsum(np.abs(j[::-1]))[::-1]
+    return j[: max(2, int(np.argmax(tail <= CHEBYSHEV_TAIL)))]
 
 
 def single_atom_matrix(site_count: int, hop: float, boundary: str) -> np.ndarray:

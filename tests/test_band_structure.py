@@ -206,6 +206,13 @@ class TestWannier:
         with pytest.raises(ValueError):
             basis.momentum_transform(p)
 
+    @pytest.mark.parametrize("first", [0, 2400, 6400, -6400, 10**6])
+    def test_fourier_indices_far_from_zero(self, first):
+        # the spacing is 2 pi / M, not p[1] - p[0], whose rounding grows with |p|
+        k, m = bs.fourier_indices(2 * np.pi / 64 * np.arange(first, first + 65), 8)
+        assert m == 64
+        assert np.array_equal(k, np.arange(first, first + 65))
+
 
 class TestGaussianApprox:
     def test_sigma_lithium_depth(self):

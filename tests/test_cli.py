@@ -140,6 +140,21 @@ class TestArtifacts:
         assert summary["ejected"] is True
         assert 0.0 < summary["retained_mass"] < 1.0
         assert 0.0 <= summary["evolve_norm_drift"] < 1e-12
+        assert summary["envelope_tail_mass"] == pytest.approx(0.0448, abs=5e-5)
+
+    def test_protocol_leaves_scipy_sparse_unloaded(self, tmp_path):
+        # propagation is matrix-free; loading scipy.sparse would raise the
+        # command's peak memory
+        script = (
+            "import sys\n"
+            "from latticeepr import cli\n"
+            f"code = cli.main(['--config', {str(CONFIG)!r}, '--out', {str(tmp_path)!r}, 'protocol'])\n"
+            "print(code, 'scipy.sparse' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == "0 False"
 
     def test_matrix_block_format(self, tmp_path):
         run_cli(

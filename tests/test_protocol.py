@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,9 +39,77 @@ class TestInitialState:
         with pytest.warns(UserWarning, match="clipped"):
             pr.initial_state(5.0, 3.0, 25)
 
+    @pytest.mark.parametrize("site_count, tail", [(25, 0.0448), (40, 0.0443)])
+    def test_lithium_envelope_tail_mass(self, site_count, tail):
+        # sigma_E = 5 a centered on site 8: the left edge clips ~4.4%
+        mass = pr.envelope_tail_mass(5.0, 8.0, site_count)
+        assert mass == pytest.approx(tail, abs=5e-5)
+        with pytest.warns(UserWarning, match=f"tail mass {mass:.2e}"):
+            pr.gaussian_envelope(5.0, 8.0, site_count)
+
+    def test_centered_envelope_has_no_tail(self):
+        assert pr.envelope_tail_mass(2.0, 20.0, 41) == pytest.approx(0.0, abs=1e-15)
+
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             pr.initial_state(0.0, 12.0, 25)
+
+
+# Two-atom models drawn by the matrix-free and propagation checks.
+MODELS = dict(
+    site_count=st.integers(3, 10),
+    boundary=st.sampled_from(["open", "periodic"]),
+    hop=st.floats(-1.0, 1.0, allow_subnormal=False),
+    vdd=st.one_of(st.floats(-4.0, -0.01), st.just(0.0), st.floats(0.01, 4.0)),
+    external=st.one_of(
+        st.builds(
+            ta.ExternalPotential.linear,
+            st.floats(-0.5, 0.5, allow_subnormal=False),
+            st.sampled_from(["first", "second", "both"]),
+        ),
+        st.builds(
+            ta.ExternalPotential.harmonic, st.floats(1.0, 4.0), st.floats(0.0, 9.0)
+        ),
+    ),
+)
+
+
+def random_state(site_count, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(site_count, site_count)) + 1j * rng.normal(
+        size=(site_count, site_count)
+    )
+    return ta.TwoAtomState(amp / np.linalg.norm(amp))
+
+
+class TestMatrixFreeHamiltonian:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(**MODELS, seed=st.integers(0, 2**32 - 1))
+    def test_apply_matches_dense(self, site_count, boundary, hop, vdd, external, seed):
+        ham = ta.build(model_for(hop, vdd, site_count, boundary), external)
+        state = random_state(site_count, seed)
+        expected = ham.dense() @ state.vector()
+        assert np.max(np.abs(ham.apply(state.amplitudes).ravel() - expected)) <= 1e-13 * max(
+            1.0, np.max(np.abs(expected))
+        )
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(**MODELS)
+    def test_spectral_bounds_enclose_spectrum(self, site_count, boundary, hop, vdd, external):
+        ham = ta.build(model_for(hop, vdd, site_count, boundary), external)
+        energies = np.linalg.eigvalsh(ham.dense())
+        lo, hi = ham.spectral_bounds()
+        slack = 1e-12 * max(1.0, hi - lo)
+        assert lo - slack <= energies[0] and energies[-1] <= hi + slack
+
+    @pytest.mark.parametrize("x", [1e-12, 1e-3, 0.7, 5.0, 37.3, 450.7, 2000.0])
+    def test_bessel_series(self, x):
+        # against scipy's J_k, with a tail below the truncation tolerance
+        values = ta._bessel_series(x)
+        k = np.arange(values.size + 200)
+        reference = scipy.special.jv(k, x)
+        assert np.max(np.abs(values - reference[: values.size])) <= 1e-15 * max(1.0, x) ** 0.5
+        assert 2 * np.sum(np.abs(reference[values.size :])) <= 2 * ta.CHEBYSHEV_TAIL
 
 
 @pytest.fixture(scope="module")
@@ -88,20 +159,7 @@ class TestEvolve:
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(
-        site_count=st.integers(3, 10),
-        boundary=st.sampled_from(["open", "periodic"]),
-        hop=st.floats(-1.0, 1.0, allow_subnormal=False),
-        vdd=st.one_of(st.floats(-4.0, -0.01), st.just(0.0), st.floats(0.01, 4.0)),
-        external=st.one_of(
-            st.builds(
-                ta.ExternalPotential.linear,
-                st.floats(-0.5, 0.5, allow_subnormal=False),
-                st.sampled_from(["first", "second", "both"]),
-            ),
-            st.builds(
-                ta.ExternalPotential.harmonic, st.floats(1.0, 4.0), st.floats(0.0, 9.0)
-            ),
-        ),
+        **MODELS,
         times=st.lists(st.floats(0.01, 30.0), min_size=1, max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -111,11 +169,7 @@ class TestEvolve:
         # psi(t) = expm(-i t H) psi0 for a random state, at times that
         # include 0 and a negative value
         ham = ta.build(model_for(hop, vdd, site_count, boundary), external)
-        rng = np.random.default_rng(seed)
-        amp = rng.normal(size=(site_count, site_count)) + 1j * rng.normal(
-            size=(site_count, site_count)
-        )
-        state = ta.TwoAtomState(amp / np.linalg.norm(amp))
+        state = random_state(site_count, seed)
         times = sorted([-times[0], 0.0, *times[1:]])
         trace = pr.evolve(state, ham, times)
         matrix = ham.dense()
@@ -135,8 +189,8 @@ class TestEvolve:
         assert len(trace.states) == len(times)
 
     def test_independent_of_global_rng(self):
-        # expm_multiply estimates norms of matrix powers from numpy's global
-        # random state; the propagated states must not depend on it
+        # the Chebyshev propagator draws no random numbers, so the
+        # propagated states cannot depend on numpy's global random state
         config, model, ham, psi0 = lithium_protocol(40)
         times = config.protocol.snapshot_times_s
         saved = np.random.get_state()
@@ -169,6 +223,24 @@ class TestEvolve:
         assert trace.norm_drift <= 1e-12
         energies = np.array([ham.expectation(s) for s in trace.states])
         assert np.max(np.abs(energies - energies[0])) <= 1e-10 * abs(energies[0])
+
+    def test_zero_spectral_width_is_identity(self, free_setup):
+        # hop = V_dd = 0 and no potential: H = 0, every step is the identity
+        _, _, state = free_setup
+        ham = ta.build(model_for(0.0, 0.0, boundary="open"))
+        assert ham.spectral_bounds() == (0.0, 0.0)
+        trace = pr.evolve(state, ham, [0.0, 12.5, 3e4])
+        for snapshot in trace.states:
+            assert np.array_equal(snapshot.amplitudes, state.amplitudes)
+
+    def test_lithium_backward_step_matches_expm_multiply(self):
+        # a step of -370 hbar/E_rec, longer than either protocol step, on
+        # the tilted N = 40 lattice of the benchmark
+        _, _, ham, psi0 = lithium_protocol(40)
+        trace = pr.evolve(psi0, ham, [-370.0])
+        generator = scipy.sparse.csr_array(ham.dense()) * (370.0j)
+        expected = scipy.sparse.linalg.expm_multiply(generator, psi0.vector())
+        assert np.max(np.abs(trace.final().vector() - expected)) <= 1e-12
 
     def test_monotone_times_required(self, free_setup):
         _, hamiltonian, state = free_setup
