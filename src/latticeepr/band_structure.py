@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 G = 2.0 * np.pi  # reciprocal lattice vector, 1/a
 CONVERGENCE_TOL = 1e-10  # E_rec, lowest bands under plane-wave basis doubling
@@ -38,12 +37,17 @@ def quasimomentum_grid(n_k: int) -> np.ndarray:
     return G / n_k * (np.arange(n_k) - n_k // 2)
 
 
-def _pendulum_tridiagonal(u0: float, k: float, n_planewaves: int):
+def _pendulum_matrices(u0: float, ks: np.ndarray, n_planewaves: int) -> np.ndarray:
+    """Plane-wave Hamiltonians at every k of ``ks``, stacked (n_k, P, P):
+    kinetic terms ((k + nG)/pi)^2 on the diagonal, -U0/4 on the
+    off-diagonals."""
     m = n_planewaves // 2
     n = np.arange(-m, m + 1)
-    diag = ((k + G * n) / np.pi) ** 2
-    off = np.full(n_planewaves - 1, -u0 / 4.0)
-    return diag, off
+    i = np.arange(n_planewaves)
+    stack = np.zeros((ks.size, n_planewaves, n_planewaves))
+    stack[:, i, i] = ((ks[:, None] + G * n) / np.pi) ** 2
+    stack[:, i[1:], i[:-1]] = stack[:, i[:-1], i[1:]] = -u0 / 4.0
+    return stack
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,9 @@ def bloch_spectrum(u0: float, n_planewaves: int = 33, n_k: int = 64) -> BlochSpe
     """Diagonalize the plane-wave lattice Hamiltonian at every k point.
 
     The matrix is tridiagonal: kinetic terms ((k + nG)/pi)^2 on the
-    diagonal, -U0/4 on the off-diagonals.  The lowest three bands are
-    re-solved in a doubled basis and must agree to ``CONVERGENCE_TOL``.
+    diagonal, -U0/4 on the off-diagonals.  All k points are solved in one
+    batched ``eigh``.  The lowest three bands are re-solved in a doubled
+    basis and must agree to ``CONVERGENCE_TOL``.
     """
     if u0 < 0:
         raise ValueError(f"lattice depth must be non-negative, got {u0}")
@@ -84,23 +89,17 @@ def bloch_spectrum(u0: float, n_planewaves: int = 33, n_k: int = 64) -> BlochSpe
         raise ValueError(f"n_k must be >= 8, got {n_k}")
 
     ks = quasimomentum_grid(n_k)
-    energies = np.empty((n_planewaves, n_k))
-    states = np.empty((n_k, n_planewaves))
-    worst = 0.0
-    for ik, k in enumerate(ks):
-        diag, off = _pendulum_tridiagonal(u0, k, n_planewaves)
-        vals, vecs = eigh_tridiagonal(diag, off)
-        energies[:, ik] = vals
-        states[ik] = vecs[:, 0]
-        diag2, off2 = _pendulum_tridiagonal(u0, k, 2 * n_planewaves + 1)
-        vals2 = eigh_tridiagonal(diag2, off2, eigvals_only=True)
-        worst = max(worst, float(np.max(np.abs(vals[:3] - vals2[:3]))))
+    vals, vecs = np.linalg.eigh(_pendulum_matrices(u0, ks, n_planewaves))
+    # H(-k) is H(k) with the plane waves reversed, in both bases: k <= 0 covers every spectrum
+    half = ks <= 0
+    vals2 = np.linalg.eigvalsh(_pendulum_matrices(u0, ks[half], 2 * n_planewaves + 1))
+    worst = float(np.max(np.abs(vals[half, :3] - vals2[:, :3])))
     if worst > CONVERGENCE_TOL:
         raise ConvergenceError(
             f"lowest bands not converged at n_planewaves={n_planewaves}: "
             f"residual {worst:.3e} E_rec > {CONVERGENCE_TOL:.1e}"
         )
-    return BlochSpectrum(ks, energies, states, n_planewaves)
+    return BlochSpectrum(ks, vals.T, vecs[:, :, 0], n_planewaves)
 
 
 @dataclass(frozen=True)
@@ -175,19 +174,6 @@ def curvature_mass(spectrum: BlochSpectrum, hbar: float = 1.0) -> float:
     dk = ks[1] - ks[0]
     d2 = (band[(i0 + 1) % ks.size] - 2.0 * band[i0] + band[i0 - 1]) / dk**2
     return hbar**2 / d2
-
-
-def mathieu_band_edges(u0: float) -> tuple[float, float]:
-    """Lowest-band edges from Mathieu characteristic values (test oracle).
-
-    With x = a v / pi the lattice Schroedinger equation is Mathieu's
-    equation with characteristic parameter q = U0 / (4 E_rec); the lowest
-    band spans [a_0(q), b_1(q)].
-    """
-    from scipy.special import mathieu_a, mathieu_b
-
-    q = u0 / 4.0
-    return float(mathieu_a(0, q)), float(mathieu_b(1, q))
 
 
 def fourier_indices(p: np.ndarray, n_sites: int = 1) -> tuple[np.ndarray, int]:

@@ -19,7 +19,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, band_structure, distributions, liddi, protocol, two_atom
 from .constants import HBAR
@@ -134,7 +133,6 @@ def write_manifest(
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "blas_name": blas["name"],
         "blas_version": blas["version"],
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -481,10 +479,12 @@ def sweep_point(config: ExperimentConfig, parameter: str, value: float) -> list:
 
 
 def _sweep_worker(args):
+    """One sweep row and the warnings its point raised, in order."""
     config, parameter, value = args
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return sweep_point(config, parameter, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        row = sweep_point(config, parameter, value)
+    return row, [w.message for w in caught]
 
 
 def _parse_range(spec: str) -> tuple[str, np.ndarray]:
@@ -512,10 +512,14 @@ def cmd_sweep(
         # a pool under fork starts all its workers at once
         workers = min(jobs, len(tasks))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+            results = list(pool.map(_sweep_worker, tasks))
     else:
-        rows = [_sweep_worker(t) for t in tasks]
-    write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
+        results = [_sweep_worker(t) for t in tasks]
+    # re-raised in point order, whichever process ran the point
+    for _, messages in results:
+        for message in messages:
+            warnings.warn(message)
+    write_csv(out / "sweep.csv", SWEEP_COLUMNS, [row for row, _ in results])
     return ["sweep.csv"]
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .constants import KB
 from .parameters import ModelParams
@@ -364,7 +363,7 @@ def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
     eigenvalues = vals.ravel()[order]
     if hamiltonian.external.kind == "none":
         single = single_atom_matrix(n, hamiltonian.hop, hamiltonian.boundary)
-        single_min = float(scipy.linalg.eigvalsh(single)[0])
+        single_min = float(np.linalg.eigvalsh(single)[0])
         band, gap = _detect_diatom_band(eigenvalues, single_min, n)
     else:
         band, gap = range(0), 0.0

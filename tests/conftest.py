@@ -55,6 +55,19 @@ def wannier_basis(u0: float, site_count: int = 25, points_per_cell: int = 64):
     return _WANNIER[key]
 
 
+def mathieu_band_edges(u0: float) -> tuple[float, float]:
+    """Lowest-band edges from Mathieu characteristic values (band oracle).
+
+    With x = a v / pi the lattice Schroedinger equation is Mathieu's
+    equation with characteristic parameter q = U0 / (4 E_rec); the lowest
+    band spans [a_0(q), b_1(q)].
+    """
+    from scipy.special import mathieu_a, mathieu_b
+
+    q = u0 / 4.0
+    return float(mathieu_a(0, q)), float(mathieu_b(1, q))
+
+
 @pytest.fixture(scope="session")
 def wannier393():
     return wannier_basis(3.93)

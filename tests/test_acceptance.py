@@ -12,7 +12,7 @@ Tolerances are pinned here, not deferred.  Run with
 import numpy as np
 import pytest
 
-from conftest import diagonalized, snapshot_at
+from conftest import diagonalized, mathieu_band_edges, snapshot_at
 from latticeepr import band_structure as bs
 from latticeepr import distributions as dist
 from latticeepr import liddi
@@ -108,7 +108,7 @@ def test_criterion_3_mathieu_band_edges():
     details = []
     for u0 in (2.0, 3.93, 10.0):
         band = bs.bloch_spectrum(u0, n_k=64).lowest_band()
-        a0, b1 = bs.mathieu_band_edges(u0)
+        a0, b1 = mathieu_band_edges(u0)
         err = max(abs(band.min() - a0), abs(band.max() - b1))
         worst = max(worst, err)
         details.append(f"U0={u0}: {err:.2e}")
@@ -124,7 +124,7 @@ def test_criterion_3_hopping_approximation_window():
     deviations = {u0: abs(bs.hopping_approx(u0) - h) / h for u0, h in exact.items()}
     # The exact hopping is right: at U0 = 15 it is the Mathieu bandwidth
     # (b_1(q) - a_0(q)) / 4, q = U0 / 4.  The fit leaves 20% below U0 = 15.
-    a0, b1 = bs.mathieu_band_edges(15.0)
+    a0, b1 = mathieu_band_edges(15.0)
     mathieu_hop = (b1 - a0) / 4
     mathieu_err = abs(exact[15.0] - mathieu_hop) / mathieu_hop
     ok = (

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mathieu_band_edges
 from latticeepr import band_structure as bs
 
 
@@ -34,14 +35,17 @@ class TestBlochSpectrum:
                 assert band[ik] == pytest.approx(band[partner], abs=1e-12)
 
     def test_mathieu_band_edges(self, spectrum393):
-        a0, b1 = bs.mathieu_band_edges(3.93)
+        a0, b1 = mathieu_band_edges(3.93)
         band = spectrum393.lowest_band()
         assert band.min() == pytest.approx(a0, abs=1e-10)
         assert band.max() == pytest.approx(b1, abs=1e-10)
 
     def test_hermitian_tridiagonal_by_construction(self):
-        diag, off = bs._pendulum_tridiagonal(3.93, 0.3, 33)
-        assert np.all(np.isreal(diag)) and np.all(np.isreal(off))
+        stack = bs._pendulum_matrices(3.93, bs.quasimomentum_grid(8), 33)
+        assert stack.shape == (8, 33, 33) and np.isrealobj(stack)
+        assert np.array_equal(stack, stack.transpose(0, 2, 1))
+        assert np.array_equal(np.triu(stack, 2), np.zeros_like(stack))
+        assert np.all(np.diagonal(stack, 1, 1, 2) == -3.93 / 4)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -54,6 +58,21 @@ class TestBlochSpectrum:
     def test_convergence_check_runs(self):
         # n_planewaves = 21 already converges far below the 1e-10 gate
         bs.bloch_spectrum(10.0, n_planewaves=21, n_k=8)
+
+    def test_convergence_check_fires(self):
+        # at U0 = 1600 the 33-wave basis is too narrow for the deep wells
+        with pytest.raises(bs.ConvergenceError, match=r"residual 8\.800e-07 E_rec"):
+            bs.bloch_spectrum(1600.0)
+
+    def test_check_at_nonpositive_k_matches_every_k(self):
+        # H(-k) is H(k) with the plane waves reversed, in both bases, so the
+        # doubled-basis residual over k <= 0 is the one over the whole grid
+        ks = bs.quasimomentum_grid(9)
+        vals = np.linalg.eigvalsh(bs._pendulum_matrices(1600.0, ks, 33))[:, :3]
+        vals2 = np.linalg.eigvalsh(bs._pendulum_matrices(1600.0, ks, 67))[:, :3]
+        residual = np.max(np.abs(vals - vals2), axis=1)
+        assert np.max(residual[ks <= 0]) == pytest.approx(np.max(residual), rel=1e-6)
+        assert np.max(residual) == pytest.approx(7.701e-07, rel=1e-3)
 
 
 class TestHopping:

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from latticeepr import band_structure, cli, distributions
 from latticeepr.constants import HBAR
@@ -66,7 +65,7 @@ class TestParams:
         assert "params.json" in manifest["outputs"]
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["numpy_version"] == np.__version__
-        assert manifest["scipy_version"] == scipy.__version__
+        assert "scipy_version" not in manifest
         assert manifest["blas_name"] == blas["name"]
         assert manifest["blas_version"] == blas["version"]
         assert "openblas_num_threads" in manifest
@@ -143,18 +142,20 @@ class TestArtifacts:
         assert summary["envelope_tail_mass"] == pytest.approx(0.0448, abs=5e-5)
 
     def test_protocol_leaves_scipy_sparse_unloaded(self, tmp_path):
-        # propagation is matrix-free; loading scipy.sparse would raise the
-        # command's peak memory
+        # numpy is the only runtime dependency; loading any of scipy would
+        # raise the commands' start-up time and peak memory
         script = (
             "import sys\n"
             "from latticeepr import cli\n"
-            f"code = cli.main(['--config', {str(CONFIG)!r}, '--out', {str(tmp_path)!r}, 'protocol'])\n"
-            "print(code, 'scipy.sparse' in sys.modules)\n"
+            "codes = [cli.main(['--config', sys.argv[1], '--out', sys.argv[2], c])\n"
+            "         for c in ('dist', 'protocol')]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+            [sys.executable, "-c", script, str(CONFIG), str(tmp_path)],
+            capture_output=True, text=True, check=True,
         )
-        assert result.stdout.splitlines()[-1] == "0 False"
+        assert result.stdout.splitlines()[-1] == "[0, 0] []"
 
     def test_matrix_block_format(self, tmp_path):
         run_cli(
@@ -274,6 +275,15 @@ class TestSweep:
         shallow, deep = sweep_rows(tmp_path)
         assert "tight-binding" in shallow["error"] and shallow["s"] == ""
         assert deep["error"] == "" and float(deep["s"]) > 0
+
+    def test_point_warnings_reach_manifest(self, tmp_path, capsys):
+        # both points clip the protocol envelope; the message is listed once
+        argv = ["--config", str(CONFIG), "--out", str(tmp_path), "--jobs", "1"]
+        assert cli.main([*argv, "sweep", "slope 0.02:0.04:2"]) == 0
+        message = "envelope clipped by the lattice boundary: tail mass 4.48e-02"
+        assert capsys.readouterr().err == f"warning: {message}\n"
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["warnings"] == [message]
 
     def test_single_point_matches_direct(self, tmp_path, lithium_model, dist_metrics):
         # a one-point sweep at the configured interaction reproduces the
@@ -439,18 +449,24 @@ class TestDeterminism:
         assert len(sweep_rows(tmp_path)) == 2
 
     def test_process_pool_matches_serial(self, tmp_path):
-        tables = []
-        for jobs in ("1", "2"):
-            out = tmp_path / jobs
-            run_cli(
-                "--config", str(CONFIG), "--out", str(out), "--jobs", jobs,
-                "sweep", "vdd 0.5:2.5:4",
-            )
-            tables.append((out / "sweep.csv").read_bytes())
-        assert tables[0] == tables[1]
-        rows = tables[0].decode().splitlines()[1:]
-        assert len(rows) == 4
-        assert all(row.endswith(",") for row in rows)  # no point failed
+        # l > lambda_C / 10 warns at three of the four shifts, once each
+        for spec, warned in (("vdd 0.5:2.5:4", 0), ("l 6e-8:9e-8:4", 3)):
+            tables, listed, stderrs = [], [], []
+            for jobs in ("1", "2"):
+                out = tmp_path / spec.split()[0] / jobs
+                result = run_cli(
+                    "--config", str(CONFIG), "--out", str(out), "--jobs", jobs,
+                    "sweep", spec,
+                )
+                tables.append((out / "sweep.csv").read_bytes())
+                listed.append(json.loads((out / "run_manifest.json").read_text())["warnings"])
+                stderrs.append(result.stderr)
+            assert tables[0] == tables[1]
+            assert listed[0] == listed[1] and len(listed[0]) == warned
+            assert stderrs[0] == stderrs[1] == "".join(f"warning: {m}\n" for m in listed[0])
+            rows = tables[0].decode().splitlines()[1:]
+            assert len(rows) == 4
+            assert all(row.endswith(",") for row in rows)  # no point failed
 
 
 class TestExitCodes:
@@ -487,6 +503,18 @@ class TestExitCodes:
         )
         assert result.returncode == 3
         assert "numerical error" in result.stderr
+
+    def test_unconverged_bands_exit_code(self, tmp_path, capsys):
+        # U0 ~ 1690 E_rec: the 33-wave basis misses the doubled one by ~1e-6
+        path = tmp_path / "deep.ini"
+        path.write_text(
+            CONFIG.read_text().replace(
+                "intensity_lattice_w_per_m2 = 1860.0",
+                "intensity_lattice_w_per_m2 = 800000.0",
+            )
+        )
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "params"]) == 3
+        assert capsys.readouterr().err.startswith("numerical error (ConvergenceError)")
 
     def test_dist_outside_tight_binding(self, tmp_path):
         # a near-zero lattice intensity leaves the atoms almost free

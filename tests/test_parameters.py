@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.constants
 
-from latticeepr import band_structure, parameters
+from latticeepr import band_structure, constants, parameters
 from latticeepr.constants import HBAR
 from latticeepr.parameters import (
     ConfigError,
@@ -18,6 +19,14 @@ from latticeepr.parameters import (
 
 LI_MASS = 1.1624e-26
 LAMBDA_L = 323e-9
+
+
+def test_constants_match_codata():
+    # the literals are scipy.constants' CODATA values, bit for bit
+    assert constants.C == scipy.constants.c
+    assert constants.HBAR == scipy.constants.hbar
+    assert constants.KB == scipy.constants.k
+    assert constants.EPSILON_0 == scipy.constants.epsilon_0
 
 
 class TestRecoilEnergy:
