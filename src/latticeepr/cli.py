@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -63,16 +65,36 @@ def _fmt(value) -> str:
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if np.isnan(v):
-        return "nan"
-    return f"{v:.12g}"
+    return f"{float(value):.12g}"  # nan for either sign of nan
+
+
+def _cell_format(value_type: type) -> str:
+    """The %-format that writes a value of ``value_type`` as ``_fmt``
+    does.  "%.0s" writes None as nothing; a bool goes in as _fmt's text."""
+    if value_type is type(None):
+        return "%.0s"
+    if issubclass(value_type, (str, bool, np.bool_)):
+        return "%s"
+    if issubclass(value_type, (int, np.integer)):
+        return "%d"
+    return "%.12g"
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """CSV of ``rows``, each value as ``_fmt`` writes it.  Rows with the
+    same value types share one %-template, filled in one % per row."""
+    templates: dict[tuple, tuple[str, list[int]]] = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in templates:
+            bools = [i for i, t in enumerate(types) if issubclass(t, (bool, np.bool_))]
+            templates[types] = (",".join(map(_cell_format, types)), bools)
+        template, bools = templates[types]
+        if bools:
+            row = tuple(_fmt(v) if i in bools else v for i, v in enumerate(row))
+        lines.append(template % row)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -136,6 +158,7 @@ def write_manifest(
         "blas_name": blas["name"],
         "blas_version": blas["version"],
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas_threads": _blas_threads(),
         "config_sha256": _config_hash(config),
         "effective_config": config.to_dict(),
         "wall_time_s": time.time() - t0,
@@ -143,6 +166,39 @@ def write_manifest(
         "warnings": messages,
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+@functools.cache
+def _openblas() -> tuple | None:
+    """The thread-count getter and setter of the OpenBLAS bundled in
+    numpy's wheel (``numpy.libs``), or None where there is none.  Opening
+    the library by its path returns the copy the process has loaded."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS uses now; None without an OpenBLAS."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+def _single_blas_thread() -> None:
+    """Sweep pool initializer: one BLAS thread per worker process, so the
+    workers do not each start a thread per core on the cores they share."""
+    lib = _openblas()
+    if lib is not None:
+        lib[1](1)
 
 
 def _wannier_basis(config: ExperimentConfig, depth: float) -> band_structure.WannierBasis:
@@ -511,7 +567,9 @@ def cmd_sweep(
     if jobs > 1 and len(tasks) > 1:
         # a pool under fork starts all its workers at once
         workers = min(jobs, len(tasks))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_single_blas_thread
+        ) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]

@@ -61,6 +61,24 @@ def _position_amplitude(state: TwoAtomState, site_matrix: np.ndarray) -> np.ndar
     return site_matrix.T @ state.amplitudes @ site_matrix
 
 
+# Largest |C - e^{iK} roll(C, (1, 1))| / max|C| of a state that counts as
+# translation covariant.  Ring eigenstates meet it by far: the rounding of
+# their phases e^{iK(j + r/2)} leaves ~N * 1e-15 (9.5e-14 at N = 100), and
+# their one-cell density equals the full-grid one to ~1e-15.  Any other
+# state misses it by O(1) and takes the full-grid path; a state within it
+# gets a density within about N times it of the full-grid one.
+_COVARIANCE_TOL = 1e-12
+
+
+def _translation_covariant(amplitudes: np.ndarray) -> bool:
+    """Whether c_{j+1,l+1} = e^{iK} c_jl (indices mod N) for one phase:
+    moving both atoms one site changes the state by a phase only."""
+    shifted = np.roll(amplitudes, (1, 1), axis=(0, 1))
+    phase = np.vdot(shifted, amplitudes) / np.vdot(shifted, shifted).real
+    deviation = np.max(np.abs(amplitudes - phase * shifted))
+    return bool(deviation <= _COVARIANCE_TOL * np.max(np.abs(amplitudes)))
+
+
 def position_joint(
     state: TwoAtomState, basis: WannierBasis, stride: int = 1
 ) -> JointDistribution:
@@ -75,15 +93,34 @@ def thermal_position_joint(
     stride: int = 1,
 ) -> JointDistribution:
     """Incoherent mixture of per-state joint position densities, on every
-    ``stride``-th point of the Wannier grid of ``basis``."""
-    if basis.points_per_cell < 16:
-        raise ValueError(f"resolution below 16 points per cell: {basis.points_per_cell}")
+    ``stride``-th point of the Wannier grid of ``basis``.
+
+    When every state is translation covariant (the eigenstates of a free
+    ring, each of total quasimomentum K) and ``stride`` is 1, the density
+    is the same after both atoms move one cell: chi_j is chi_0 moved j
+    cells, so psi(x1 + 1, x2 + 1) = e^{iK} psi(x1, x2).  Then only the
+    ``ppc`` rows of x1 in cell 0 are computed, and row block b of the
+    density is that strip rolled by b cells along x2.
+    """
+    ppc = basis.points_per_cell
+    if ppc < 16:
+        raise ValueError(f"resolution below 16 points per cell: {ppc}")
     site_matrix = basis.site_matrix()[:, ::stride]
     grid = basis.grid[::stride]
-    density = np.zeros((grid.size, grid.size))
+    size = grid.size
+    if not (stride == 1 and all(_translation_covariant(s.amplitudes) for s in states)):
+        density = np.zeros((size, size))
+        for state, weight in zip(states, weights):
+            density += weight * np.abs(_position_amplitude(state, site_matrix)) ** 2
+        return JointDistribution(grid.copy(), grid.copy(), density, "position")
+    strip = np.zeros((ppc, size))
     for state, weight in zip(states, weights):
-        amp = _position_amplitude(state, site_matrix)
-        density += weight * np.abs(amp) ** 2
+        strip += weight * np.abs(site_matrix[:, :ppc].T @ state.amplitudes @ site_matrix) ** 2
+    density = np.empty((size, size))
+    for shift in range(0, size, ppc):
+        cell = density[shift : shift + ppc]
+        cell[:, shift:] = strip[:, : size - shift]
+        cell[:, :shift] = strip[:, size - shift :]
     return JointDistribution(grid.copy(), grid.copy(), density, "position")
 
 
@@ -153,16 +190,18 @@ def sum_marginal(joint: JointDistribution) -> Marginal:
 def _combined_marginal(joint: JointDistribution, sign: int) -> Marginal:
     n = joint.axis1.size
     step = joint.axis1[1] - joint.axis1[0]
-    i = np.arange(n)
+    # Row i of the joint adds to the bins i - j + n - 1 (difference) or
+    # i + j (sum), a contiguous run of n bins; rows are added in order, so
+    # each bin sums its terms in the order of a row-major bincount.
     if sign < 0:
-        index = (i[:, None] - i[None, :]) + (n - 1)
         grid = step * np.arange(-(n - 1), n)
+        rows = joint.density[:, ::-1]
     else:
-        index = i[:, None] + i[None, :]
         grid = joint.axis1[0] * 2.0 + step * np.arange(2 * n - 1)
-    density = np.bincount(
-        index.ravel(), weights=joint.density.ravel(), minlength=2 * n - 1
-    )
+        rows = joint.density
+    density = np.zeros(2 * n - 1)
+    for i, row in enumerate(rows):
+        density[i : i + n] += row
     # one factor of the cell side stays integrated out
     return Marginal(grid, density * step)
 

@@ -68,6 +68,31 @@ def mathieu_band_edges(u0: float) -> tuple[float, float]:
     return float(mathieu_a(0, q)), float(mathieu_b(1, q))
 
 
+def fmt_oracle(value) -> str:
+    """One CSV cell as the per-value CSV writer wrote it (the reference
+    for ``cli.write_csv``)."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if np.isnan(v):
+        return "nan"
+    return f"{v:.12g}"
+
+
+def write_csv_oracle(path, header, rows) -> None:
+    """The per-value CSV writer: one ``fmt_oracle`` call per cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt_oracle(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="session")
 def wannier393():
     return wannier_basis(3.93)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fmt_oracle, write_csv_oracle
 from latticeepr import band_structure, cli, distributions
 from latticeepr.constants import HBAR
 from latticeepr.parameters import ExperimentConfig, lithium_default, write_config
@@ -69,6 +70,8 @@ class TestParams:
         assert manifest["blas_name"] == blas["name"]
         assert manifest["blas_version"] == blas["version"]
         assert "openblas_num_threads" in manifest
+        # the subprocess ran with this process's BLAS settings
+        assert manifest["blas_threads"] == cli._blas_threads()
         assert manifest["warnings"] == []
 
 
@@ -170,7 +173,8 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("size", [5, 700])
     def test_matrix_values_formatted_as_fmt(self, tmp_path, size):
-        # every line reads as _fmt of its axis values and density, also for
+        # every line reads as the CSV cell format of its axis values and
+        # density, also for
         # nan, -0, 1e-300 and 0.1 + 0.2, before and after decimation
         # (stride 3 at 700 points)
         axis = np.linspace(-3.0, 3.0, size)
@@ -186,7 +190,7 @@ class TestArtifacts:
         expected = ["# test", "# columns: axis1 [hbar/a], axis2 [hbar/a], probability density"]
         for x1, block in zip(shown.axis1, shown.density):
             expected += [
-                f"{cli._fmt(x1)} {cli._fmt(x2)} {cli._fmt(v)}"
+                f"{fmt_oracle(x1)} {fmt_oracle(x2)} {fmt_oracle(v)}"
                 for x2, v in zip(shown.axis2, block)
             ]
             expected.append("")
@@ -195,6 +199,40 @@ class TestArtifacts:
         assert text.endswith("\n\n")
         for value in ("nan", "-0", "1e-300", "0.3", "inf", "1e+22", "4.94065645841e-324"):
             assert any(line.endswith(f" {value}") for line in expected)
+
+    def test_csv_matches_per_value_writer(self, tmp_path):
+        # every cell type the writer meets, in rows of repeated and of
+        # changing type patterns, from a generator as the commands pass them
+        values = [
+            None, "", "ValueError: bad, 100%", True, False, np.bool_(True), np.bool_(False),
+            0, -7, 2**70, np.int64(-3), np.int32(5), 0.1 + 0.2, -0.0, 1e-300, 5e-324, 1e22,
+            np.float64(2.5e-8), np.float32(0.1), np.nan, -np.nan, np.float64(-np.nan),
+            np.inf, -np.inf, np.float64(-np.inf),
+        ]
+        rng = np.random.default_rng(11)
+        rows = [values, values[::-1]]
+        rows += [list(rng.choice(np.array(values, dtype=object), 6)) for _ in range(200)]
+        rows += [(1.5, i, "x", None) for i in range(3)] + [(np.nan, True, "", False)]
+        rows += [np.linspace(-1.0, 1.0, 4)]
+        header = [f"c{i}" for i in range(len(values))]
+        cli.write_csv(tmp_path / "new.csv", header, (row for row in rows))
+        write_csv_oracle(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[1].startswith(",,ValueError")
+
+    def test_dist_ring_path_matches_full_grid(self, tmp_path, monkeypatch):
+        # dist builds its position joint from one cell of the ring; with
+        # the symmetry test switched off it takes the full-grid product
+        assert cli.main(["--out", str(tmp_path / "ring"), "dist"]) == 0
+        monkeypatch.setattr(distributions, "_translation_covariant", lambda amplitudes: False)
+        assert cli.main(["--out", str(tmp_path / "full"), "dist"]) == 0
+        ring, full = (
+            json.loads((tmp_path / side / "epr_metrics.json").read_text())
+            for side in ("ring", "full")
+        )
+        assert ring.keys() == full.keys()
+        for key in full:
+            assert ring[key] == pytest.approx(full[key], rel=1e-12, abs=0.0), key
 
     def test_snapshots_match_decimated_full_grid(self, tmp_path, monkeypatch):
         # each snapshot is the full-grid joint with write_matrix's stride
@@ -427,11 +465,12 @@ class TestDeterminism:
     def test_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
         # under fork a pool starts all max_workers processes at once; this
         # recorder stands in for the pool and starts none
-        pools = []
+        pools, initializers = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 pools.append(max_workers)
+                initializers.append(initializer)
 
             def __enter__(self):
                 return self
@@ -446,7 +485,16 @@ class TestDeterminism:
         argv = ["--out", str(tmp_path), "--jobs", "5000", "sweep", "sigma_E 1:2:2"]
         assert cli.main(argv) == 0
         assert pools == [2]
+        assert initializers == [cli._single_blas_thread]
         assert len(sweep_rows(tmp_path)) == 2
+
+    def test_pool_workers_run_one_blas_thread(self):
+        if cli._blas_threads() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        with cli.concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, initializer=cli._single_blas_thread
+        ) as pool:
+            assert pool.submit(cli._blas_threads).result(timeout=60) == 1
 
     def test_process_pool_matches_serial(self, tmp_path):
         # l > lambda_C / 10 warns at three of the four shifts, once each

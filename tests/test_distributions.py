@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diagonalized, model_for, wannier_basis
+from conftest import diagonalized, lithium_protocol, model_for, wannier_basis
 from latticeepr import distributions as dist
 from latticeepr import two_atom as ta
 from latticeepr.constants import HBAR, KB
@@ -75,6 +75,121 @@ class TestPositionJoint:
         c = state.amplitudes.real
         shoulder = (c[12, 13] / c[12, 12]) ** 2
         assert shoulder == pytest.approx(lam**2, rel=1e-3)
+
+
+def full_grid_position_density(states, weights, basis) -> np.ndarray:
+    """sum_n w_n |S^T C_n S|^2 over the whole Wannier grid (S the site
+    matrix): the joint position density computed without symmetry."""
+    site_matrix = basis.site_matrix()
+    return sum(
+        w * np.abs(site_matrix.T @ s.amplitudes @ site_matrix) ** 2
+        for s, w in zip(states, weights)
+    )
+
+
+def lithium_ring_mixture(site_count: int):
+    """The 10 nK thermal pair-band states of the lithium ring on
+    ``site_count`` sites and their weights."""
+    import dataclasses
+
+    from latticeepr.parameters import lithium_default
+
+    config = dataclasses.replace(lithium_default(), site_count=site_count)
+    model = config.model(boundary="periodic")
+    spectrum = diagonalized(model.hop, model.vdd, site_count)
+    thermal = ta.thermal_state(spectrum, config.temperature_position_k, model.recoil_energy)
+    return thermal.states(spectrum), thermal.weights
+
+
+def general_path_calls(monkeypatch) -> list:
+    """Records each call of the full-grid amplitude (the general path)."""
+    calls = []
+    amplitude = dist._position_amplitude
+
+    def recording(state, site_matrix):
+        calls.append(site_matrix.shape)
+        return amplitude(state, site_matrix)
+
+    monkeypatch.setattr(dist, "_position_amplitude", recording)
+    return calls
+
+
+class TestRingPositionJoint:
+    """On a ring the thermal position density is built from the rows of
+    one lattice cell; every other input takes the full-grid product."""
+
+    @pytest.mark.parametrize("n", [25, 40])
+    def test_thermal_ring_matches_full_grid(self, n, monkeypatch):
+        states, weights = lithium_ring_mixture(n)
+        assert len(states) > 1
+        assert all(dist._translation_covariant(s.amplitudes) for s in states)
+        basis = wannier_basis(13.4, site_count=n, points_per_cell=32)
+        calls = general_path_calls(monkeypatch)
+        joint = dist.thermal_position_joint(states, weights, basis)
+        assert calls == []
+        want = full_grid_position_density(states, weights, basis)
+        assert np.max(np.abs(joint.density - want)) <= 1e-14 * np.max(want)
+        assert np.array_equal(joint.axis1, basis.grid)
+
+    def test_ring_comb_matches_full_grid(self, wannier393, monkeypatch):
+        # a facing-site comb with a quasimomentum phase, c_jj = e^{iKj}/sqrt N
+        n = 25
+        k = 2.0 * np.pi * 3 / n
+        amp = np.diag(np.exp(1j * k * np.arange(n))) / np.sqrt(n)
+        state = ta.TwoAtomState(amp)
+        assert dist._translation_covariant(amp)
+        calls = general_path_calls(monkeypatch)
+        joint = dist.position_joint(state, wannier393)
+        assert calls == []
+        want = full_grid_position_density([state], [1.0], wannier393)
+        assert np.max(np.abs(joint.density - want)) <= 1e-14 * np.max(want)
+
+    def test_states_without_ring_symmetry_take_full_grid(self, wannier393, monkeypatch):
+        _, _, tilted, psi0 = lithium_protocol()
+        open_chain = ta.diagonalize(ta.build(model_for(-0.088, -0.469, boundary="open")))
+        cases = {
+            "open chain": [open_chain.state(0)],
+            "tilted": [ta.TwoAtomState(tilted.propagate(psi0.amplitudes, 50.0))],
+            "product": [product_state(25, 12, 12)],
+            "initial comb": [psi0],
+            # one covariant state does not make the mixture covariant
+            "mixture": [uniform_comb(25), product_state(25, 3, 4)],
+        }
+        for name, states in cases.items():
+            weights = np.full(len(states), 1.0 / len(states))
+            calls = general_path_calls(monkeypatch)
+            joint = dist.thermal_position_joint(states, weights, wannier393)
+            assert len(calls) == len(states), name
+            want = full_grid_position_density(states, weights, wannier393)
+            assert np.array_equal(joint.density, want), name
+
+    def test_strided_grid_takes_full_grid(self, monkeypatch):
+        states, weights = lithium_ring_mixture(25)
+        basis = wannier_basis(13.4, site_count=25, points_per_cell=32)
+        calls = general_path_calls(monkeypatch)
+        joint = dist.thermal_position_joint(states, weights, basis, stride=3)
+        assert len(calls) == len(states)
+        want = full_grid_position_density(states, weights, basis)[::3, ::3]
+        assert np.max(np.abs(joint.density - want)) <= 1e-14 * np.max(want)
+
+
+class TestCombinedMarginal:
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_equals_bincount_over_full_index(self, sign):
+        # the row-by-row sum adds each bin's terms in the order of one
+        # bincount over the n x n index array, so the results are equal
+        n = 301
+        axis = -1.25 + 0.01 * np.arange(n)
+        density = np.random.default_rng(3).random((n, n))
+        joint = dist.JointDistribution(axis, axis.copy(), density, "momentum")
+        i = np.arange(n)
+        index = (i[:, None] - i[None, :]) + (n - 1) if sign < 0 else i[:, None] + i[None, :]
+        want = np.bincount(index.ravel(), weights=density.ravel(), minlength=2 * n - 1)
+        marginal = dist.difference_marginal(joint) if sign < 0 else dist.sum_marginal(joint)
+        assert np.array_equal(marginal.density, want * (axis[1] - axis[0]))
+        first = -(n - 1) * 0.01 if sign < 0 else 2 * axis[0]
+        assert marginal.grid[0] == pytest.approx(first)
+        assert marginal.grid.size == 2 * n - 1
 
 
 class TestMomentumJoint:
