@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latticeepr import band_structure, distributions, protocol, two_atom
+from latticeepr import band_structure, cli, distributions, protocol, two_atom
 from latticeepr.parameters import ExperimentConfig, ModelParams, lithium_default
 
 
@@ -91,6 +91,24 @@ def write_csv_oracle(path, header, rows) -> None:
     for row in rows:
         lines.append(",".join(fmt_oracle(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_matrix_oracle(path, joint, comment) -> None:
+    """The per-value matrix writer: one %-format of a row's Python floats
+    per row (the reference for ``cli.write_matrix``)."""
+    joint = cli.decimate_joint(joint)
+    unit = "a" if joint.kind == "position" else "hbar/a"
+    cells = [f"{cli._fmt(x2)} %.12g" for x2 in joint.axis2]
+    # Written row by row, so no copy of the whole file is held in memory.
+    # Each row is one %-format of its Python floats; "%.12g" % v is what
+    # _fmt writes for a float, nan and inf included.
+    with path.open("w") as f:
+        f.write(f"# {comment}\n# columns: axis1 [{unit}], axis2 [{unit}], probability density\n")
+        for x1, block in zip(joint.axis1, joint.density):
+            prefix = cli._fmt(x1) + " "
+            template = prefix + ("\n" + prefix).join(cells)
+            f.write(template % tuple(block.tolist()))
+            f.write("\n\n")
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,22 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes, manifest."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import fmt_oracle, write_csv_oracle
-from latticeepr import band_structure, cli, distributions
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fmt_oracle, write_csv_oracle, write_matrix_oracle
+from latticeepr import band_structure, cli, distributions, two_atom
 from latticeepr.constants import HBAR
 from latticeepr.parameters import ExperimentConfig, lithium_default, write_config
 
@@ -272,6 +278,144 @@ class TestArtifacts:
             got = np.loadtxt(tmp_path / name)
             want = np.loadtxt(tmp_path / "full.dat")
             assert np.allclose(got, want, rtol=1e-11, atol=1e-12 * scale)
+
+
+@pytest.fixture(scope="module")
+def real_joints():
+    """The joints `dist` writes on the lithium config (N = 25) and the
+    snapshot joints `protocol` writes at N = 40."""
+    config = lithium_default()
+    model = config.model(boundary="periodic")
+    spectrum = two_atom.diagonalize(two_atom.build(model))
+    joints = dict(
+        zip(
+            ("dist_position", "dist_momentum"),
+            cli._thermal_joints(
+                config, model, spectrum,
+                config.temperature_position_k, config.temperature_momentum_k,
+            ),
+        )
+    )
+    config = dataclasses.replace(config, site_count=40)
+    prot = config.protocol
+    model = config.model(boundary=prot.boundary)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, trace = cli._protocol_trace(config, model, prot.slope_erec_per_site, prot.snapshot_times_s)
+    basis = cli._wannier_basis(config, model.lattice_depth)
+    stride = cli.plot_stride(basis.grid.size)
+    for i, state in enumerate(trace.states):
+        joints[f"protocol40_{i}"] = distributions.position_joint(state, basis, stride)
+    return joints
+
+
+def any_joint(axis1, axis2, density, kind):
+    """A stand-in joint that may hold negative densities, which
+    JointDistribution rejects; the writers read only these four fields."""
+    return types.SimpleNamespace(axis1=axis1, axis2=axis2, density=density, kind=kind)
+
+
+def assert_matrix_matches_oracle(path, joint):
+    cli.write_matrix(path.with_suffix(".new"), joint, "test")
+    write_matrix_oracle(path.with_suffix(".old"), joint, "test")
+    assert path.with_suffix(".new").read_bytes() == path.with_suffix(".old").read_bytes()
+
+
+# Values where "%.12g" is hard: exact ties at the 13th digit (rounded half
+# to even), the switch points between fixed and exponent notation on
+# either side of their rounding, three-digit exponents, signed zeros,
+# non-finite values, the smallest subnormal and the ends of the fast path.
+ADVERSARIAL = [
+    1234567890125.0, 1234567890135.0, 999999999999.5, 999999999998.5, 0.5, 2.5,
+    1e-5, 1e-4, 9.999999999995e-5, 9.999999999994e-5, 9.9999999999949e-5,
+    99999999999.95, 99999999999.94, 999999999999.0, 1e12, 1e11, 123456789012.0,
+    0.1 + 0.2, 1 / 3, 2 / 3, 1e-100, 1e100, 1.5e-123, 9.99999999999e99,
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308,
+    1e300, -1e300, 1e-300, -1e-300, 1e290, 1e-290, 9.99999999999e289, 1.00000000001e-290,
+    # next to a power of ten: a carry to it, and floor(log10) one off
+    9.9999999999996, 99999999999.9996, np.nextafter(1e-5, 0.0), np.nextafter(1e23, np.inf),
+    np.nextafter(1e-30, 1.0), np.nextafter(1000.0, 0.0),
+]
+ADVERSARIAL += [-v for v in ADVERSARIAL[:24]]
+
+NEAR_TIES = st.builds(
+    lambda digits, exponent, sign: sign * float(f"{digits}5e{exponent}"),
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-330, 300),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+class TestMatrixWriter:
+    @pytest.mark.parametrize(
+        "name",
+        ["dist_position", "dist_momentum", "protocol40_0", "protocol40_1", "protocol40_2"],
+    )
+    def test_real_joint_matches_per_value_writer(self, tmp_path, real_joints, name):
+        joint = real_joints[name]
+        # dist hands the writer full-grid joints that it decimates
+        assert (joint.axis1.size > 320) == name.startswith("dist")
+        assert_matrix_matches_oracle(tmp_path / "m", joint)
+
+    @pytest.mark.parametrize("name", ["dist_position", "dist_momentum", "protocol40_1"])
+    def test_real_joint_takes_the_fast_path(self, real_joints, name):
+        # a silent fall-back to per-value formatting would pass the byte
+        # comparisons; at most 1% of the values may need Python's %
+        density = cli.decimate_joint(real_joints[name]).density
+        words = np.empty(density.shape + (cli._VALUE_WORDS,), np.uint64)
+        masks = np.empty_like(words)
+        slow = cli._format_g12(density, words, masks)
+        assert slow <= 0.01 * density.size
+
+    def test_adversarial_values(self, tmp_path):
+        values = np.array(ADVERSARIAL)
+        # every value in the first and in the last column, and on the axes
+        density = np.resize(values, (values.size, 7))
+        density[:, -1] = values[::-1]
+        joint = any_joint(values, values[:7].copy(), density, "position")
+        assert_matrix_matches_oracle(tmp_path / "m", joint)
+        text = (tmp_path / "m.new").read_text()
+        for written in ("1.23456789012e+12", "1.23456789014e+12", "1e+12", "1e-05", "0.0001",
+                        "99999999999.9", "100000000000", "9.99999999999e-05", "-0", "nan", "-inf", "4.94065645841e-324",
+                        "1.5e-123", "1e+300", "1.79769313486e+308"):
+            assert f" {written}\n" in text
+
+    def test_near_ties_match_per_value_writer(self, tmp_path):
+        # 13-digit decimals ending in 5: frac(m) lies within ~1e-4 of 1/2,
+        # where a too-narrow tie margin rounds about 1% of them wrongly
+        rng = np.random.default_rng(13)
+        digits = rng.integers(10**11, 10**12, 20000)
+        exponents = rng.integers(-330, 300, 20000)
+        values = np.array([float(f"{d}5e{e}") for d, e in zip(digits, exponents)])
+        joint = any_joint(np.arange(100.0), np.arange(200.0), values.reshape(100, 200), "position")
+        assert_matrix_matches_oracle(tmp_path / "m", joint)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.floats(width=64), NEAR_TIES, st.sampled_from(ADVERSARIAL)),
+            min_size=1,
+            max_size=120,
+        ),
+        columns=st.integers(1, 9),
+    )
+    def test_any_float64_matches_per_value_writer(self, tmp_path_factory, values, columns):
+        rows = -(-len(values) // columns)
+        density = np.resize(np.array(values), (rows, columns))
+        axis1 = np.resize(np.array(values[::-1]), rows)
+        joint = any_joint(axis1, density[0].copy(), density, "momentum")
+        assert_matrix_matches_oracle(tmp_path_factory.mktemp("matrix") / "m", joint)
+
+    def test_strided_joint_is_not_copied(self, tmp_path, monkeypatch):
+        # decimation hands the writer a view of the full-grid density
+        axis = np.linspace(-3.0, 3.0, 700)
+        density = np.random.default_rng(3).random((700, 700))
+        joint = distributions.JointDistribution(axis, axis.copy(), density, "position")
+        shown = cli.decimate_joint(joint)
+        assert shown.density.shape == (234, 234)
+        assert np.shares_memory(shown.density, density)
+        assert_matrix_matches_oracle(tmp_path / "m", joint)
 
 
 class TestSweep:
@@ -611,6 +755,21 @@ class TestExitCodes:
     def test_non_finite_sweep_range_is_config_error(self, tmp_path, capsys, spec):
         assert cli.main(["--out", str(tmp_path), "--jobs", "1", "sweep", spec]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("resolution", ["8", "0", "-3"])
+    def test_resolution_below_minimum_is_config_error(self, tmp_path, resolution):
+        result = run_cli("--out", str(tmp_path), "--resolution", resolution, "params", check=False)
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"config error: --resolution: resolution must be >= 16 points per cell, got {resolution}\n"
+        )
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        assert cli.main(["--out", str(tmp_path), "--jobs", jobs, "sweep", "sigma_E 1:2:2"]) == 2
+        assert capsys.readouterr().err == f"config error: --jobs must be >= 1, got {jobs}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_init_config(self, tmp_path):
