@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -336,6 +337,29 @@ def _single_blas_thread() -> None:
         lib[1](1)
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the caller's count.
+
+    Every solve of a command is a batch of small blocks (per-K N x N
+    blocks, Bloch matrices, one-cell products); a second BLAS thread gains
+    them little, and once woken it spins idle and doubles the CPU time.
+    An ``OPENBLAS_NUM_THREADS`` in the environment, which OpenBLAS reads
+    when it loads, is left in force.
+    """
+    lib = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas()
+    if lib is None:
+        yield
+        return
+    get, put = lib
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _wannier_basis(config: ExperimentConfig, depth: float) -> band_structure.WannierBasis:
     """Wannier functions of a lattice of depth ``depth`` (E_rec) on the
     config's N sites and output grid."""
@@ -504,7 +528,20 @@ def _protocol_trace(
     return psi0, trace
 
 
+def _check_center_site(config: ExperimentConfig) -> None:
+    """The protocol's envelope must be centred on a site of the lattice.
+    Checked here, not in the config, because only the protocol reads the
+    key: ``dist`` on a ring shorter than the default centre still runs."""
+    center = config.protocol.center_site
+    if not 0 <= center < config.site_count:
+        raise ConfigError(
+            f"[protocol] center_site = {center} lies outside the lattice "
+            f"sites 0..{config.site_count - 1}"
+        )
+
+
 def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
+    _check_center_site(config)
     prot = config.protocol
     model = config.model(boundary=prot.boundary)
     psi0, trace = _protocol_trace(config, model, prot.slope_erec_per_site, prot.snapshot_times_s)
@@ -698,6 +735,8 @@ def cmd_sweep(
         parameter, values = config.sweep.parameter, config.sweep.grid()
     else:
         parameter, values = _parse_range(grid_spec)
+    if parameter == "slope":
+        _check_center_site(config)
     tasks = [(config, parameter, float(v)) for v in values]
     if jobs > 1 and len(tasks) > 1:
         # a pool under fork starts all its workers at once
@@ -766,13 +805,19 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
 
     if args.command == "init-config":
         write_config(lithium_default(), args.path)
         print(f"wrote {args.path}")
         return EXIT_OK
 
+    with _one_blas_thread():
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Load the config, run the subcommand and write its manifest."""
+    t0 = time.time()
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")

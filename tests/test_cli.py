@@ -23,11 +23,12 @@ from latticeepr.parameters import ExperimentConfig, lithium_default, write_confi
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "lithium.ini"
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, env=None):
     result = subprocess.run(
         [sys.executable, "-m", "latticeepr", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     if check and result.returncode != 0:
         raise AssertionError(
@@ -76,9 +77,81 @@ class TestParams:
         assert manifest["blas_name"] == blas["name"]
         assert manifest["blas_version"] == blas["version"]
         assert "openblas_num_threads" in manifest
-        # the subprocess ran with this process's BLAS settings
-        assert manifest["blas_threads"] == cli._blas_threads()
         assert manifest["warnings"] == []
+
+
+def blas_env(threads):
+    """This process's environment with ``OPENBLAS_NUM_THREADS`` set to
+    ``threads``, or without it when ``threads`` is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+class TestBlasThreads:
+    @pytest.fixture(autouse=True)
+    def _needs_openblas(self):
+        if cli._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+
+    @pytest.mark.parametrize("threads, recorded", [(None, 1), ("2", 2)])
+    def test_manifest_records_the_run_count(self, tmp_path, threads, recorded):
+        # a command runs on one thread unless the environment sets the count
+        run_cli("--out", str(tmp_path), "params", env=blas_env(threads))
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["openblas_num_threads"] == threads
+        assert manifest["blas_threads"] == recorded
+
+    @pytest.mark.parametrize(
+        "old, new, command, code",
+        [
+            ("", "", "params", 0),
+            ("center_site = 8", "center_site = 30", "protocol", 2),
+            # U0 ~ 1690 E_rec: the Bloch basis does not converge
+            (
+                "intensity_lattice_w_per_m2 = 1860.0",
+                "intensity_lattice_w_per_m2 = 800000.0",
+                "params",
+                3,
+            ),
+        ],
+        ids=["ok", "config-error", "numerical-error"],
+    )
+    def test_main_restores_the_callers_count(
+        self, tmp_path, monkeypatch, old, new, command, code
+    ):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.read_text().replace(old, new))
+        get, put = cli._openblas()
+        before = get()
+        put(3)
+        try:
+            argv = ["--config", str(path), "--out", str(tmp_path / "out"), command]
+            assert cli.main(argv) == code
+            assert get() == 3
+        finally:
+            put(before)
+        if code == 0:
+            manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+            assert manifest["blas_threads"] == 1
+
+
+@pytest.mark.parametrize("command", ["dist", "protocol"])
+def test_artifacts_independent_of_blas_threads(tmp_path, command):
+    outs, stdouts = [], []
+    for threads in ("2", None):
+        out = tmp_path / str(threads)
+        result = run_cli("--config", str(CONFIG), "--out", str(out), command, env=blas_env(threads))
+        outs.append(out)
+        stdouts.append(result.stdout)
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "run_manifest.json")
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "run_manifest.json")
+    assert len(names) > 1
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    assert stdouts[0] == stdouts[1]
 
 
 class TestArtifacts:
@@ -738,8 +811,8 @@ class TestExitCodes:
             ("lattice_shift_nm", "nan", "params", 2),
             ("measurement_lattice_depth_erec", "nan", "dist", 2),
             ("slope_erec_per_site", "nan", "protocol", 2),
-            # a valid config whose envelope lies off the lattice
-            ("center_site", "1000", "protocol", 3),
+            # an envelope centred off the lattice
+            ("center_site", "1000", "protocol", 2),
         ],
     )
     def test_bad_value_fails_with_exit_code(self, tmp_path, capsys, key, value, command, code):
@@ -750,6 +823,28 @@ class TestExitCodes:
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == code
         prefix = "config error:" if code == 2 else "numerical error"
         assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("center", ["25", "30", "1000", "-1"])
+    @pytest.mark.parametrize(
+        "command", [["protocol"], ["sweep", "slope 0:0.04:2"]], ids=["protocol", "sweep-slope"]
+    )
+    def test_center_site_off_the_lattice_is_config_error(self, tmp_path, capsys, center, command):
+        path = tmp_path / "off.ini"
+        path.write_text(CONFIG.read_text().replace("center_site = 8", f"center_site = {center}"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "--jobs", "1", *command]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [protocol] center_site = {center} lies outside the "
+            "lattice sites 0..24\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["dist", "spectrum"])
+    def test_center_site_unread_outside_the_protocol(self, tmp_path, command):
+        # the default center_site = 8 lies off a ring of 8 sites
+        path = tmp_path / "short.ini"
+        path.write_text(CONFIG.read_text().replace("site_count = 25", "site_count = 8"))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == 0
 
     @pytest.mark.parametrize("spec", ["vdd nan:1:2", "T inf:1e-7:2", "vdd 0:-inf:3"])
     def test_non_finite_sweep_range_is_config_error(self, tmp_path, capsys, spec):
