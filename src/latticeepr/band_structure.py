@@ -18,6 +18,7 @@ import numpy as np
 
 G = 2.0 * np.pi  # reciprocal lattice vector, 1/a
 CONVERGENCE_TOL = 1e-10  # E_rec, lowest bands under plane-wave basis doubling
+MIN_K_POINTS = 8  # smallest quasimomentum grid, hence ring, for the Wannier basis
 
 
 class ConvergenceError(RuntimeError):
@@ -85,8 +86,8 @@ def bloch_spectrum(u0: float, n_planewaves: int = 33, n_k: int = 64) -> BlochSpe
         raise ValueError(f"lattice depth must be non-negative, got {u0}")
     if n_planewaves % 2 == 0 or n_planewaves < 21:
         raise ValueError(f"n_planewaves must be odd and >= 21, got {n_planewaves}")
-    if n_k < 8:
-        raise ValueError(f"n_k must be >= 8, got {n_k}")
+    if n_k < MIN_K_POINTS:
+        raise ValueError(f"n_k must be >= {MIN_K_POINTS}, got {n_k}")
 
     ks = quasimomentum_grid(n_k)
     vals, vecs = np.linalg.eigh(_pendulum_matrices(u0, ks, n_planewaves))

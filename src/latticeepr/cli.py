@@ -362,7 +362,13 @@ def _one_blas_thread():
 
 def _wannier_basis(config: ExperimentConfig, depth: float) -> band_structure.WannierBasis:
     """Wannier functions of a lattice of depth ``depth`` (E_rec) on the
-    config's N sites and output grid."""
+    config's N sites and output grid; ConfigError below the k grid's
+    minimum of ``MIN_K_POINTS`` sites."""
+    if config.site_count < band_structure.MIN_K_POINTS:
+        raise ConfigError(
+            f"site_count = {config.site_count} is below the "
+            f"{band_structure.MIN_K_POINTS} sites the Wannier basis needs"
+        )
     spectrum = band_structure.bloch_spectrum(depth, n_k=config.site_count)
     return band_structure.wannier(spectrum, points_per_cell=config.resolution)
 
@@ -399,13 +405,13 @@ def cmd_params(config: ExperimentConfig, out: Path) -> list[str]:
 
 def cmd_bands(config: ExperimentConfig, out: Path) -> list[str]:
     model = config.model()
+    basis = _wannier_basis(config, model.lattice_depth)
     spectrum = band_structure.bloch_spectrum(model.lattice_depth)
     write_csv(
         out / "dispersion.csv",
         ["k_per_a", "band0_erec", "band1_erec", "band2_erec"],
         band_structure.dispersion_csv_rows(spectrum),
     )
-    basis = _wannier_basis(config, model.lattice_depth)
     write_csv(
         out / "wannier.csv",
         ["x_a", "chi"],

@@ -252,7 +252,10 @@ def cooling_requirements(
 
 
 def bound_band_projection(state: TwoAtomState, spectrum: SpectrumResult) -> float:
-    """Probability the state carries in the split-off pair band."""
+    """Probability the state carries in the split-off pair band;
+    ValueError where the spectrum has no pair band."""
+    if len(spectrum.diatom_band) == 0:
+        raise ValueError("no split-off diatom band to project onto")
     total = 0.0
     vec = state.vector()
     for i in spectrum.diatom_band:

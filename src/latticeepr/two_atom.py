@@ -22,6 +22,9 @@ from .constants import KB
 from .parameters import ModelParams
 
 CHEBYSHEV_TAIL = 1e-15
+# a pair-band state lies more than BAND_EDGE_MARGIN * max(1, |edge|) below
+# its block's continuum edge, so that V_dd = 0 binds nothing at rounding level
+BAND_EDGE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -263,17 +266,26 @@ def build(model: ModelParams, external: ExternalPotential | None = None) -> TwoA
     )
 
 
-def _symmetry_blocks(hamiltonian: TwoAtomHamiltonian) -> tuple[np.ndarray, np.ndarray | None]:
-    """Diagonal blocks of H and the total quasimomentum K of each.
+def _symmetry_blocks(
+    hamiltonian: TwoAtomHamiltonian,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Diagonal blocks of H, the total quasimomentum K of each, and the
+    bottom edge of each block's two-free-atom continuum.
 
     On a free ring c_jl = e^{iK(j+l)/2} g(l - j) / sqrt(N) gives one real
-    block per K: relative hopping 2 V_hop cos(K/2), V_dd at r = 0, and the
-    sign (-1)^m = e^{iKN/2} on the hop that wraps from r = N - 1 to r = 0.
-    Any other model is one block, the dense matrix, with K None.
+    block per K: relative hopping t_K = 2 V_hop cos(K/2), V_dd at r = 0,
+    and the sign (-1)^m = e^{iKN/2} on the hop that wraps from r = N - 1
+    to r = 0.  Its continuum starts at -2|t_K|.  Any other model is one
+    block, the dense matrix, with K None; the free open chain's continuum
+    starts at twice the single-atom minimum, -4|V_hop| cos(pi/(N+1)), and
+    under an external potential the edge is -inf (no pair band).
     """
     n = hamiltonian.site_count
-    if hamiltonian.boundary != "periodic" or hamiltonian.external.kind != "none":
-        return hamiltonian.dense()[None], None
+    if hamiltonian.external.kind != "none":
+        return hamiltonian.dense()[None], None, np.array([-np.inf])
+    if hamiltonian.boundary != "periodic":
+        edge = -4.0 * abs(hamiltonian.hop) * np.cos(np.pi / (n + 1))
+        return hamiltonian.dense()[None], None, np.array([edge])
     m = np.arange(n)
     k = 2.0 * np.pi * m / n
     relative_hop = 2.0 * hamiltonian.hop * np.cos(k / 2.0)
@@ -282,22 +294,22 @@ def _symmetry_blocks(hamiltonian: TwoAtomHamiltonian) -> tuple[np.ndarray, np.nd
     blocks[:, r, r + 1] = blocks[:, r + 1, r] = relative_hop[:, None]
     blocks[:, 0, n - 1] = blocks[:, n - 1, 0] = relative_hop * (-1.0) ** m
     blocks[:, 0, 0] = hamiltonian.vdd
-    return blocks, k
+    return blocks, k, -2.0 * np.abs(relative_hop)
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     """Sorted eigenvalues, each symmetry block's eigenvectors (see
-    ``_symmetry_blocks``) and the detected split-off pair band.  ``order[i]``
-    is the flat (block, column) index of the i-th eigenvalue."""
+    ``_symmetry_blocks``) and the pair band: the sorted indices of the
+    eigenvalues that lie below their own block's continuum edge.
+    ``order[i]`` is the flat (block, column) index of the i-th eigenvalue."""
 
     eigenvalues: np.ndarray
     block_vectors: np.ndarray            # (blocks, d, d), eigenvectors in columns
     quasimomenta: np.ndarray | None
     order: np.ndarray
     site_count: int
-    diatom_band: range
-    split_gap: float
+    diatom_band: np.ndarray
 
     def state(self, index: int) -> TwoAtomState:
         """The ``index``-th eigenstate in the product basis."""
@@ -321,34 +333,19 @@ class SpectrumResult:
             float(self.eigenvalues[self.diatom_band[-1]]),
         )
 
-
-def _detect_diatom_band(
-    eigenvalues: np.ndarray, single_min: float, site_count: int
-) -> tuple[range, float]:
-    """States split below the two-free-atom band.
-
-    A band of the lowest m states counts as split off when the gap above it
-    exceeds the width of the band itself and the band top lies strictly
-    below twice the single-atom minimum.
-    """
-    n_total = eigenvalues.size
-    threshold = 2.0 * single_min - 1e-9 * max(1.0, abs(single_min))
-    limit = min(2 * site_count, n_total - 1)
-    best_m, best_gap = 0, 0.0
-    for m in range(1, limit + 1):
-        if eigenvalues[m - 1] >= threshold:
-            break
-        gap = eigenvalues[m] - eigenvalues[m - 1]
-        width = eigenvalues[m - 1] - eigenvalues[0]
-        if gap > max(width, 1e-12) and gap > best_gap:
-            best_m, best_gap = m, gap
-    return range(best_m), best_gap
+    @property
+    def split_gap(self) -> float:
+        """Lowest eigenvalue outside the pair band minus the band's top:
+        0 without a band, negative where the band overlaps the continuum."""
+        if len(self.diatom_band) == 0:
+            return 0.0
+        outside = np.delete(self.eigenvalues, self.diatom_band)
+        return float(outside[0] - self.eigenvalues[self.diatom_band[-1]])
 
 
 def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
     """Full spectrum by a dense solve of each symmetry block."""
-    n = hamiltonian.site_count
-    blocks, quasimomenta = _symmetry_blocks(hamiltonian)
+    blocks, quasimomenta, edges = _symmetry_blocks(hamiltonian)
     if not np.all(np.isfinite(blocks)):
         raise ValueError("Hamiltonian contains non-finite entries")
     vals, vecs = np.linalg.eigh(blocks)
@@ -360,29 +357,16 @@ def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
         raise RuntimeError(f"eigenpair residual {worst:.2e} exceeds 1e-8 * |H|")
 
     order = np.argsort(vals, axis=None, kind="stable")
-    eigenvalues = vals.ravel()[order]
-    if hamiltonian.external.kind == "none":
-        single = single_atom_matrix(n, hamiltonian.hop, hamiltonian.boundary)
-        single_min = float(np.linalg.eigvalsh(single)[0])
-        band, gap = _detect_diatom_band(eigenvalues, single_min, n)
-    else:
-        band, gap = range(0), 0.0
-
+    threshold = edges - BAND_EDGE_MARGIN * np.maximum(1.0, np.abs(edges))
+    bound = (vals < threshold[:, None]).ravel()[order]
     return SpectrumResult(
-        eigenvalues=eigenvalues,
+        eigenvalues=vals.ravel()[order],
         block_vectors=vecs,
         quasimomenta=quasimomenta,
         order=order,
-        site_count=n,
-        diatom_band=band,
-        split_gap=gap,
+        site_count=hamiltonian.site_count,
+        diatom_band=np.flatnonzero(bound),
     )
-
-
-def diatom_ground_state(spectrum: SpectrumResult) -> TwoAtomState:
-    """Lowest eigenvector; for strong binding it approaches the uniform
-    facing-sites superposition (1/sqrt N) sum_j |jj>."""
-    return spectrum.state(0)
 
 
 def diatom_hopping(hop: float, vdd: float) -> float:
@@ -431,8 +415,7 @@ def thermal_state(
         raise ValueError(f"temperature must be non-negative, got {temperature}")
     if len(spectrum.diatom_band) == 0:
         raise ValueError("no split-off diatom band to thermalize over")
-    indices = np.array(list(spectrum.diatom_band))
-
+    indices = spectrum.diatom_band
     energies = spectrum.eigenvalues[indices]
     e0 = float(np.min(energies))
     if temperature == 0.0:

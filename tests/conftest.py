@@ -125,7 +125,7 @@ def wannier_measure():
 @pytest.fixture(scope="session")
 def fig7a_state():
     """Ground state at the |V_hop| = 0.0355, |V_dd| = 1.0 working point."""
-    return two_atom.diatom_ground_state(diagonalized(-0.0355, -1.0))
+    return diagonalized(-0.0355, -1.0).state(0)
 
 
 def lithium_protocol(site_count: int = 25):

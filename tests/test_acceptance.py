@@ -235,7 +235,7 @@ def test_criterion_7_perturbative_width(wannier393):
     deviations, variance_errs, lambda_errs = {}, {}, {}
     for eta in (0.0355, 0.05, 0.08, 0.1):
         lam = pair_decay(-eta, -1.0)
-        state = ta.diatom_ground_state(diagonalized(-eta, -1.0))
+        state = diagonalized(-eta, -1.0).state(0)
         amp = state.amplitudes
         lambda_errs[eta] = abs(amp[12, 13] / amp[12, 12] - lam)
 

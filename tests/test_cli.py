@@ -846,6 +846,28 @@ class TestExitCodes:
         path.write_text(CONFIG.read_text().replace("site_count = 25", "site_count = 8"))
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == 0
 
+    @pytest.mark.parametrize("command", ["bands", "dist", "protocol"])
+    @pytest.mark.parametrize("site_count", [3, 5, 7])
+    def test_ring_below_wannier_minimum_is_config_error(
+        self, tmp_path, capsys, command, site_count
+    ):
+        path = tmp_path / "tiny.ini"
+        text = CONFIG.read_text().replace("site_count = 25", f"site_count = {site_count}")
+        path.write_text(text.replace("center_site = 8", "center_site = 1"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), command]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: site_count = {site_count} is below the 8 sites the "
+            "Wannier basis needs\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["params", "liddi-scan", "spectrum"])
+    def test_small_ring_runs_without_wannier_basis(self, tmp_path, command):
+        path = tmp_path / "tiny.ini"
+        path.write_text(CONFIG.read_text().replace("site_count = 25", "site_count = 5"))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == 0
+
     @pytest.mark.parametrize("spec", ["vdd nan:1:2", "T inf:1e-7:2", "vdd 0:-inf:3"])
     def test_non_finite_sweep_range_is_config_error(self, tmp_path, capsys, spec):
         assert cli.main(["--out", str(tmp_path), "--jobs", "1", "sweep", spec]) == 2

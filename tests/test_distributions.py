@@ -70,7 +70,7 @@ class TestPositionJoint:
         # conditional shoulders at one site offset carry the bound-state
         # halo weight lambda^2 = ((sqrt(U^2+16t^2)-U)/4t)^2 per side
         t, u = 0.0355, 1.0
-        state = ta.diatom_ground_state(diagonalized(-t, -u))
+        state = diagonalized(-t, -u).state(0)
         lam = (np.sqrt(u**2 + 16 * t**2) - u) / (4 * t)
         c = state.amplitudes.real
         shoulder = (c[12, 13] / c[12, 12]) ** 2
@@ -393,7 +393,7 @@ class TestEprMetrics:
         # other way (acceptance clause 7)
         sigma = wannier393.sigma
         for eta in (0.0355, 0.05):
-            state = ta.diatom_ground_state(diagonalized(-eta, -1.0))
+            state = diagonalized(-eta, -1.0).state(0)
             joint = dist.position_joint(state, wannier393)
             cond = dist.conditional(joint, 12.0, which_atom=1)
             variance = np.trapezoid(

@@ -294,6 +294,15 @@ class TestSeparationRun:
         _, diag = snapshot_at(trace, 2.16e-4)
         assert diag.diagonal_weight == pytest.approx(capture, rel=0.25)
 
+    def test_bound_band_projection_needs_a_band(self):
+        # an external potential leaves the spectrum without a pair band
+        model = model_for(-0.0881, -0.4693, boundary="open")
+        tilted = ta.build(model, ta.ExternalPotential.linear(0.01))
+        spectrum = ta.diagonalize(tilted)
+        assert len(spectrum.diatom_band) == 0
+        with pytest.raises(ValueError, match="no split-off diatom band"):
+            pr.bound_band_projection(pr.initial_state(5.0, 12.0, 25), spectrum)
+
     def test_initial_ratio_undefined(self):
         # an unclipped product state sits exactly at its center: no drift,
         # no ratio

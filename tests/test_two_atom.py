@@ -120,19 +120,59 @@ class TestDiagonalize:
         assert spectrum.eigenvalues.shape == (n * n,)
         assert np.allclose(spectrum.eigenvalues, sums, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("site_count", [25, 40, 60])
-    def test_bound_band_closed_form(self, site_count):
+    @pytest.mark.parametrize(
+        "hop, vdd, site_count",
+        [
+            pytest.param(-0.0881, -1.0, 25, id="25"),
+            pytest.param(-0.0881, -1.0, 40, id="40"),
+            pytest.param(-0.0881, -1.0, 60, id="60"),
+            # the lithium point of configs/lithium.ini, where the band is
+            # wider than its gap to the continuum from N = 50 on; lambda <= 0.34
+            pytest.param(-0.088112203682, -0.4693, 50, id="lithium-50"),
+            pytest.param(-0.088112203682, -0.4693, 60, id="lithium-60"),
+            pytest.param(-0.088112203682, -0.4693, 100, id="lithium-100"),
+        ],
+    )
+    def test_bound_band_closed_form(self, hop, vdd, site_count):
         # |V_dd| > 4 |V_hop| puts all N pairs below the continuum, at
         # E_K = -sqrt(V_dd^2 + 16 V_hop^2 cos^2(K/2)); the ring's finite-size
-        # shift is ~lambda^N with lambda <= 0.17 at this coupling
-        hop, vdd = -0.0881, -1.0
+        # shift is ~lambda^N with lambda <= 0.17 at |V_dd| = 1
         spectrum = ta.diagonalize(ta.build(model_for(hop, vdd, site_count=site_count)))
         k = 2 * np.pi * np.arange(site_count) / site_count
         band = np.sort(-np.sqrt(vdd**2 + 16 * hop**2 * np.cos(k / 2) ** 2))
         assert np.allclose(spectrum.eigenvalues[:site_count], band, rtol=0, atol=1e-12)
+        assert np.array_equal(spectrum.diatom_band, np.arange(site_count))
 
     def test_no_split_band_without_interaction(self):
-        assert len(diagonalized(-0.0355, 0.0).diatom_band) == 0
+        for boundary in ("periodic", "open"):
+            spectrum = diagonalized(-0.0355, 0.0, boundary=boundary)
+            assert len(spectrum.diatom_band) == 0
+            assert spectrum.split_gap == 0.0
+
+    def test_whole_band_below_continuum_at_weak_binding(self):
+        # V_dd = 0.4 > 4 |V_hop| = 0.352: every block binds one pair, and
+        # the band top -0.4006 lies below the continuum bottom -0.352
+        spectrum = diagonalized(-0.088112203682, -0.4)
+        assert np.array_equal(spectrum.diatom_band, np.arange(25))
+        assert spectrum.split_gap > 0
+        assert spectrum.split_gap == pytest.approx(0.05138, abs=1e-5)
+
+    def test_band_overlapping_the_continuum(self):
+        # V_dd = 0.1 < 4 |V_hop|: the pairs near K = pi lie above the
+        # continuum bottom of the blocks near K = 0
+        spectrum = diagonalized(-0.088112203682, -0.1)
+        band = spectrum.diatom_band
+        assert np.all(np.diff(band) > 0)
+        assert band[-1] >= band.size
+        lo, hi = spectrum.diatom_band_edges
+        assert hi > 4 * -0.088112203682
+        assert spectrum.split_gap < 0
+        # at most one bound pair per block, and each block's edge is
+        # -4 |V_hop cos(K/2)|
+        blocks = spectrum.order[band] // 25
+        assert np.unique(blocks).size == band.size
+        edges = -4 * 0.088112203682 * np.abs(np.cos(spectrum.quasimomenta[blocks] / 2))
+        assert np.all(spectrum.eigenvalues[band] < edges)
 
     def test_split_band_full_size_at_strong_binding(self):
         spectrum = diagonalized(-0.0355, -0.5)
@@ -173,20 +213,20 @@ class TestDiagonalize:
 class TestGroundState:
     def test_zero_hop_exactly_diagonal(self):
         spectrum = diagonalized(0.0, -1.0)
-        state = ta.diatom_ground_state(spectrum)
+        state = spectrum.state(0)
         assert state.diagonal_weight() == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_weight_strong_binding(self):
-        state = ta.diatom_ground_state(diagonalized(-0.0355, -1.0))
+        state = diagonalized(-0.0355, -1.0).state(0)
         assert state.diagonal_weight() >= 0.99
 
     def test_diagonal_weight_weak_binding(self):
-        state = ta.diatom_ground_state(diagonalized(-0.0355, -0.10))
+        state = diagonalized(-0.0355, -0.10).state(0)
         assert state.diagonal_weight() < 0.9
 
     def test_overlap_with_uniform_comb(self):
         spectrum = diagonalized(-0.0355, -1.0)
-        state = ta.diatom_ground_state(spectrum)
+        state = spectrum.state(0)
         n = state.site_count
         uniform = np.sum(np.diag(state.amplitudes)) / np.sqrt(n)
         eta = 0.0355 / 1.0
@@ -195,7 +235,7 @@ class TestGroundState:
     def test_amplitude_halo_matches_bound_state(self):
         # c_{j, j+1} / c_{j, j} equals (sqrt(U^2+16t^2) - U) / 4t
         t, u = 0.05, 1.0
-        state = ta.diatom_ground_state(diagonalized(-t, -u))
+        state = diagonalized(-t, -u).state(0)
         c = state.amplitudes.real
         measured = c[12, 13] / c[12, 12]
         lam = (np.sqrt(u**2 + 16 * t**2) - u) / (4 * t)
