@@ -360,15 +360,20 @@ def _one_blas_thread():
         put(threads)
 
 
-def _wannier_basis(config: ExperimentConfig, depth: float) -> band_structure.WannierBasis:
-    """Wannier functions of a lattice of depth ``depth`` (E_rec) on the
-    config's N sites and output grid; ConfigError below the k grid's
-    minimum of ``MIN_K_POINTS`` sites."""
+def _check_wannier_sites(config: ExperimentConfig) -> None:
+    """ConfigError below the Wannier k grid's minimum of ``MIN_K_POINTS``
+    sites."""
     if config.site_count < band_structure.MIN_K_POINTS:
         raise ConfigError(
             f"site_count = {config.site_count} is below the "
             f"{band_structure.MIN_K_POINTS} sites the Wannier basis needs"
         )
+
+
+def _wannier_basis(config: ExperimentConfig, depth: float) -> band_structure.WannierBasis:
+    """Wannier functions of a lattice of depth ``depth`` (E_rec) on the
+    config's N sites and output grid."""
+    _check_wannier_sites(config)
     spectrum = band_structure.bloch_spectrum(depth, n_k=config.site_count)
     return band_structure.wannier(spectrum, points_per_cell=config.resolution)
 
@@ -741,8 +746,11 @@ def cmd_sweep(
         parameter, values = config.sweep.parameter, config.sweep.grid()
     else:
         parameter, values = _parse_range(grid_spec)
+    # checks of the config alone fail the command before any point runs
     if parameter == "slope":
         _check_center_site(config)
+    elif _SWEEP_ROWS[parameter] is _pair_row:
+        _check_wannier_sites(config)
     tasks = [(config, parameter, float(v)) for v in values]
     if jobs > 1 and len(tasks) > 1:
         # a pool under fork starts all its workers at once

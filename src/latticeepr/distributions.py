@@ -61,24 +61,6 @@ def _position_amplitude(state: TwoAtomState, site_matrix: np.ndarray) -> np.ndar
     return site_matrix.T @ state.amplitudes @ site_matrix
 
 
-# Largest |C - e^{iK} roll(C, (1, 1))| / max|C| of a state that counts as
-# translation covariant.  Ring eigenstates meet it by far: the rounding of
-# their phases e^{iK(j + r/2)} leaves ~N * 1e-15 (9.5e-14 at N = 100), and
-# their one-cell density equals the full-grid one to ~1e-15.  Any other
-# state misses it by O(1) and takes the full-grid path; a state within it
-# gets a density within about N times it of the full-grid one.
-_COVARIANCE_TOL = 1e-12
-
-
-def _translation_covariant(amplitudes: np.ndarray) -> bool:
-    """Whether c_{j+1,l+1} = e^{iK} c_jl (indices mod N) for one phase:
-    moving both atoms one site changes the state by a phase only."""
-    shifted = np.roll(amplitudes, (1, 1), axis=(0, 1))
-    phase = np.vdot(shifted, amplitudes) / np.vdot(shifted, shifted).real
-    deviation = np.max(np.abs(amplitudes - phase * shifted))
-    return bool(deviation <= _COVARIANCE_TOL * np.max(np.abs(amplitudes)))
-
-
 def position_joint(
     state: TwoAtomState, basis: WannierBasis, stride: int = 1
 ) -> JointDistribution:
@@ -95,10 +77,10 @@ def thermal_position_joint(
     """Incoherent mixture of per-state joint position densities, on every
     ``stride``-th point of the Wannier grid of ``basis``.
 
-    When every state is translation covariant (the eigenstates of a free
-    ring, each of total quasimomentum K) and ``stride`` is 1, the density
-    is the same after both atoms move one cell: chi_j is chi_0 moved j
-    cells, so psi(x1 + 1, x2 + 1) = e^{iK} psi(x1, x2).  Then only the
+    When every state carries its total quasimomentum K (the eigenstates
+    of a free ring) and ``stride`` is 1, the density is the same after
+    both atoms move one cell: chi_j is chi_0 moved j cells, so
+    psi(x1 + 1, x2 + 1) = e^{iK} psi(x1, x2).  Then only the
     ``ppc`` rows of x1 in cell 0 are computed, and row block b of the
     density is that strip rolled by b cells along x2.
     """
@@ -108,7 +90,7 @@ def thermal_position_joint(
     site_matrix = basis.site_matrix()[:, ::stride]
     grid = basis.grid[::stride]
     size = grid.size
-    if not (stride == 1 and all(_translation_covariant(s.amplitudes) for s in states)):
+    if not (stride == 1 and all(s.quasimomentum is not None for s in states)):
         density = np.zeros((size, size))
         for state, weight in zip(states, weights):
             density += weight * np.abs(_position_amplitude(state, site_matrix)) ** 2
@@ -227,8 +209,10 @@ def central_peak_width(marginal: Marginal, near: float = 0.0) -> PeakWidth:
     """Half-width at half-maximum of the peak nearest ``near``.
 
     The peak must be a local maximum; the half-height crossings are found
-    by linear interpolation.  The lobe-restricted second moment is
-    returned alongside as a Gaussian-equivalent width.
+    by linear interpolation.  ``sigma`` is the second moment of the lobe
+    between the minima on either side of the peak.  On a comb, such as the
+    ring's total-momentum marginal with teeth 2 pi / N apart, that lobe is
+    one tooth, so ``sigma`` measures the tooth and not the envelope.
     """
     grid, dens = marginal.grid, marginal.density
     if dens.size < 5 or np.max(dens) <= 0:
@@ -355,8 +339,16 @@ def correlation_coefficient(
 class EprMetrics:
     """Correlation widths and the inferred s parameter.
 
-    ``dx_minus``/``dp_plus`` are HWHM of the central peaks; the
-    lobe-second-moment (Gaussian-equivalent) widths are reported alongside.
+    ``dx_minus``/``dp_plus`` are HWHM of the central peaks.  The
+    ``*_sigma`` widths are the second moments of the central lobes (see
+    ``central_peak_width``); ``dp_plus_sigma`` is that of one comb tooth,
+    so it falls as 1/N (0.105, 0.056, 0.038, 0.018 at N = 25, 40, 60, 100
+    on the lithium config) while ``dp_plus`` stays at 0.41-0.46.  The
+    ``peak_spacing_*`` are the median gaps of the local maxima
+    (``comb_spacing``) of the atom-1 position marginal, one cell, and of
+    the total-momentum marginal: the tooth spacing 2 pi / N once the
+    teeth are resolved (N >= 40 there), but 0.2827 at N = 25, where
+    maxima 7 to 166 grid steps apart give neither 2 pi / N nor 2 pi.
     """
 
     dx_minus: float
@@ -461,10 +453,6 @@ class GaussianEprReference:
     def dp_plus(self) -> float:
         return 1.0 / self.dx_plus
 
-    @property
-    def squeeze_ratio(self) -> float:
-        return self.dx_minus / self.dx_plus
-
     def position_density(self, x1, x2) -> np.ndarray:
         x1, x2 = np.asarray(x1, float), np.asarray(x2, float)
         norm = 1.0 / (np.pi * self.dx_minus * self.dx_plus)
@@ -480,12 +468,3 @@ class GaussianEprReference:
             -((p1 - p2) ** 2) / (2.0 * self.dp_minus**2)
             - ((p1 + p2) ** 2) / (2.0 * self.dp_plus**2)
         )
-
-    def conditional_center(self, x1: float) -> float:
-        """Center of x2 after measuring x1."""
-        r2 = self.squeeze_ratio**2
-        return x1 * (1.0 - r2) / (1.0 + r2)
-
-    def conditional_width(self) -> float:
-        """Spread of x2 after measuring x1."""
-        return self.dx_minus / np.sqrt(1.0 + self.squeeze_ratio**2)

@@ -76,9 +76,16 @@ class ExternalPotential:
 
 @dataclass(frozen=True)
 class TwoAtomState:
-    """Normalized amplitudes c_{jl} over the product Wannier basis."""
+    """Normalized amplitudes c_{jl} over the product Wannier basis.
+
+    ``quasimomentum`` is the total quasimomentum K of a free-ring
+    eigenstate, set only by ``SpectrumResult.state``; such a state obeys
+    c_{j+1,l+1} = e^{iK} c_jl (indices mod N, as e^{iKN} = 1).  Every other
+    state has None.
+    """
 
     amplitudes: np.ndarray
+    quasimomentum: float | None = None
 
     def __post_init__(self):
         amp = self.amplitudes
@@ -320,9 +327,10 @@ class SpectrumResult:
             return TwoAtomState(vector.reshape(n, n))
         sites = np.arange(n)
         relative = (sites[None, :] - sites[:, None]) % n
+        k = float(self.quasimomenta[block])
         # e^{iK(j+l)/2} g(l-j) = e^{iK(j+r/2)} g(r) with r = (l-j) mod N
-        phase = np.exp(1j * self.quasimomenta[block] * (sites[:, None] + relative / 2.0))
-        return TwoAtomState(phase * vector[relative] / np.sqrt(n))
+        phase = np.exp(1j * k * (sites[:, None] + relative / 2.0))
+        return TwoAtomState(phase * vector[relative] / np.sqrt(n), k)
 
     @property
     def diatom_band_edges(self) -> tuple[float, float]:

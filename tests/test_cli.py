@@ -301,10 +301,22 @@ class TestArtifacts:
 
     def test_dist_ring_path_matches_full_grid(self, tmp_path, monkeypatch):
         # dist builds its position joint from one cell of the ring; with
-        # the symmetry test switched off it takes the full-grid product
+        # the states' K dropped it takes the full-grid product
         assert cli.main(["--out", str(tmp_path / "ring"), "dist"]) == 0
-        monkeypatch.setattr(distributions, "_translation_covariant", lambda amplitudes: False)
+        ring_state, amplitude = two_atom.SpectrumResult.state, distributions._position_amplitude
+        calls = []
+
+        def without_k(spectrum, index):
+            return two_atom.TwoAtomState(ring_state(spectrum, index).amplitudes)
+
+        def recording(state, site_matrix):
+            calls.append(site_matrix.shape)
+            return amplitude(state, site_matrix)
+
+        monkeypatch.setattr(two_atom.SpectrumResult, "state", without_k)
+        monkeypatch.setattr(distributions, "_position_amplitude", recording)
         assert cli.main(["--out", str(tmp_path / "full"), "dist"]) == 0
+        assert len(calls) == 7  # one full-grid product per state of the 10 nK mixture
         ring, full = (
             json.loads((tmp_path / side / "epr_metrics.json").read_text())
             for side in ("ring", "full")
@@ -846,7 +858,16 @@ class TestExitCodes:
         path.write_text(CONFIG.read_text().replace("site_count = 25", "site_count = 8"))
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == 0
 
-    @pytest.mark.parametrize("command", ["bands", "dist", "protocol"])
+    # a pair sweep fails up front, before any point runs, at any --jobs
+    @pytest.mark.parametrize(
+        "command",
+        [["bands"], ["dist"], ["protocol"], ["--jobs", "2", "sweep", "vdd 0.5:1:2"]]
+        + [
+            ["--jobs", "1", "sweep", spec]
+            for spec in ("vhop 0.05:0.1:2", "U0 3:4:2", "T 1e-8:1e-7:2", "l 3e-8:5e-8:2")
+        ],
+        ids=["bands", "dist", "protocol", "sweep-vdd", "sweep-vhop", "sweep-U0", "sweep-T", "sweep-l"],
+    )
     @pytest.mark.parametrize("site_count", [3, 5, 7])
     def test_ring_below_wannier_minimum_is_config_error(
         self, tmp_path, capsys, command, site_count
@@ -855,7 +876,7 @@ class TestExitCodes:
         text = CONFIG.read_text().replace("site_count = 25", f"site_count = {site_count}")
         path.write_text(text.replace("center_site = 8", "center_site = 1"))
         out = tmp_path / "out"
-        assert cli.main(["--config", str(path), "--out", str(out), command]) == 2
+        assert cli.main(["--config", str(path), "--out", str(out), *command]) == 2
         assert capsys.readouterr().err == (
             f"config error: site_count = {site_count} is below the 8 sites the "
             "Wannier basis needs\n"
@@ -867,6 +888,14 @@ class TestExitCodes:
         path = tmp_path / "tiny.ini"
         path.write_text(CONFIG.read_text().replace("site_count = 25", "site_count = 5"))
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == 0
+
+    def test_small_ring_envelope_sweep_runs(self, tmp_path):
+        # the sigma_E row is a closed form that needs no Wannier basis
+        path = tmp_path / "tiny.ini"
+        path.write_text(CONFIG.read_text().replace("site_count = 25", "site_count = 5"))
+        args = ["--config", str(path), "--out", str(tmp_path), "--jobs", "1", "sweep"]
+        assert cli.main([*args, "sigma_E 1:2:2"]) == 0
+        assert [(r["error"], bool(r["s"])) for r in sweep_rows(tmp_path)] == [("", True)] * 2
 
     @pytest.mark.parametrize("spec", ["vdd nan:1:2", "T inf:1e-7:2", "vdd 0:-inf:3"])
     def test_non_finite_sweep_range_is_config_error(self, tmp_path, capsys, spec):

@@ -89,7 +89,7 @@ def full_grid_position_density(states, weights, basis) -> np.ndarray:
 
 def lithium_ring_mixture(site_count: int):
     """The 10 nK thermal pair-band states of the lithium ring on
-    ``site_count`` sites and their weights."""
+    ``site_count`` sites, their weights and the K of each one's block."""
     import dataclasses
 
     from latticeepr.parameters import lithium_default
@@ -98,7 +98,18 @@ def lithium_ring_mixture(site_count: int):
     model = config.model(boundary="periodic")
     spectrum = diagonalized(model.hop, model.vdd, site_count)
     thermal = ta.thermal_state(spectrum, config.temperature_position_k, model.recoil_energy)
-    return thermal.states(spectrum), thermal.weights
+    blocks = spectrum.order[thermal.indices] // site_count
+    return thermal.states(spectrum), thermal.weights, spectrum.quasimomenta[blocks]
+
+
+def assert_ring_covariant(states, quasimomenta) -> None:
+    """Each state carries its block's K and obeys c_{j+1,l+1} = e^{iK} c_jl
+    to 1e-12 of max|C|; the phases e^{iK(j + r/2)} round to ~N 1e-15."""
+    for state, k in zip(states, quasimomenta):
+        assert state.quasimomentum == k
+        c = state.amplitudes
+        shifted = np.exp(1j * k) * np.roll(c, (1, 1), axis=(0, 1))
+        assert np.max(np.abs(c - shifted)) <= 1e-12 * np.max(np.abs(c))
 
 
 def general_path_calls(monkeypatch) -> list:
@@ -115,14 +126,15 @@ def general_path_calls(monkeypatch) -> list:
 
 
 class TestRingPositionJoint:
-    """On a ring the thermal position density is built from the rows of
-    one lattice cell; every other input takes the full-grid product."""
+    """Ring eigenstates carry their K, and their thermal position density
+    is built from the rows of one lattice cell; every other input takes the
+    full-grid product."""
 
     @pytest.mark.parametrize("n", [25, 40])
     def test_thermal_ring_matches_full_grid(self, n, monkeypatch):
-        states, weights = lithium_ring_mixture(n)
+        states, weights, quasimomenta = lithium_ring_mixture(n)
         assert len(states) > 1
-        assert all(dist._translation_covariant(s.amplitudes) for s in states)
+        assert_ring_covariant(states, quasimomenta)
         basis = wannier_basis(13.4, site_count=n, points_per_cell=32)
         calls = general_path_calls(monkeypatch)
         joint = dist.thermal_position_joint(states, weights, basis)
@@ -131,13 +143,17 @@ class TestRingPositionJoint:
         assert np.max(np.abs(joint.density - want)) <= 1e-14 * np.max(want)
         assert np.array_equal(joint.axis1, basis.grid)
 
+    def test_ring_states_covariant_at_100_sites(self):
+        # the full-grid density is too costly here (~9 s, ~500 MB)
+        states, _, quasimomenta = lithium_ring_mixture(100)
+        assert_ring_covariant(states, quasimomenta)
+
     def test_ring_comb_matches_full_grid(self, wannier393, monkeypatch):
         # a facing-site comb with a quasimomentum phase, c_jj = e^{iKj}/sqrt N
         n = 25
         k = 2.0 * np.pi * 3 / n
         amp = np.diag(np.exp(1j * k * np.arange(n))) / np.sqrt(n)
-        state = ta.TwoAtomState(amp)
-        assert dist._translation_covariant(amp)
+        state = ta.TwoAtomState(amp, quasimomentum=k)
         calls = general_path_calls(monkeypatch)
         joint = dist.position_joint(state, wannier393)
         assert calls == []
@@ -146,14 +162,16 @@ class TestRingPositionJoint:
 
     def test_states_without_ring_symmetry_take_full_grid(self, wannier393, monkeypatch):
         _, _, tilted, psi0 = lithium_protocol()
+        ring_state = lithium_ring_mixture(25)[0][0]
         open_chain = ta.diagonalize(ta.build(model_for(-0.088, -0.469, boundary="open")))
         cases = {
             "open chain": [open_chain.state(0)],
             "tilted": [ta.TwoAtomState(tilted.propagate(psi0.amplitudes, 50.0))],
             "product": [product_state(25, 12, 12)],
             "initial comb": [psi0],
-            # one covariant state does not make the mixture covariant
-            "mixture": [uniform_comb(25), product_state(25, 3, 4)],
+            "ring state from its vector": [ta.TwoAtomState.from_vector(ring_state.vector(), 25)],
+            # one state with a K does not give the mixture the one-cell path
+            "mixture": [ring_state, product_state(25, 3, 4)],
         }
         for name, states in cases.items():
             weights = np.full(len(states), 1.0 / len(states))
@@ -164,7 +182,7 @@ class TestRingPositionJoint:
             assert np.array_equal(joint.density, want), name
 
     def test_strided_grid_takes_full_grid(self, monkeypatch):
-        states, weights = lithium_ring_mixture(25)
+        states, weights, _ = lithium_ring_mixture(25)
         basis = wannier_basis(13.4, site_count=25, points_per_cell=32)
         calls = general_path_calls(monkeypatch)
         joint = dist.thermal_position_joint(states, weights, basis, stride=3)
@@ -479,26 +497,6 @@ class TestGaussianReference:
             np.trapezoid(ref.momentum_density(p[:, None], p[None, :]), p, axis=1), p
         )
         assert pmass == pytest.approx(1.0, abs=1e-6)
-
-    def test_conditional_formulas_against_slices(self):
-        ref = dist.GaussianEprReference(0.3, 2.0)
-        x1 = 1.4
-        x2 = np.linspace(-10, 10, 20001)
-        slice_density = ref.position_density(x1, x2)
-        slice_density /= np.trapezoid(slice_density, x2)
-        mean = np.trapezoid(x2 * slice_density, x2)
-        width = np.sqrt(np.trapezoid((x2 - mean) ** 2 * slice_density, x2))
-        assert mean == pytest.approx(ref.conditional_center(x1), rel=1e-6)
-        assert width == pytest.approx(ref.conditional_width(), rel=1e-6)
-
-    def test_strong_squeezing_limit(self):
-        ref = dist.GaussianEprReference(1e-4, 1.0)
-        assert ref.conditional_center(0.7) == pytest.approx(0.7, rel=1e-6)
-        assert ref.conditional_width() == pytest.approx(1e-4, rel=1e-6)
-
-    def test_product_state_limit(self):
-        ref = dist.GaussianEprReference(1.0, 1.0)
-        assert ref.conditional_center(0.7) == 0.0
 
     def test_momentum_widths_are_inverse(self):
         ref = dist.GaussianEprReference(0.2, 5.0)
