@@ -78,9 +78,11 @@ def bloch_spectrum(u0: float, n_planewaves: int = 33, n_k: int = 64) -> BlochSpe
     """Diagonalize the plane-wave lattice Hamiltonian at every k point.
 
     The matrix is tridiagonal: kinetic terms ((k + nG)/pi)^2 on the
-    diagonal, -U0/4 on the off-diagonals.  All k points are solved in one
-    batched ``eigh``.  The lowest three bands are re-solved in a doubled
-    basis and must agree to ``CONVERGENCE_TOL``.
+    diagonal, -U0/4 on the off-diagonals.  H(-k) is H(k) with the plane
+    waves reversed (time reversal), so one batched ``eigh`` solves the
+    k <= 0 points; the bands at k > 0 are those at -k, and the lowest-band
+    state is the -k vector reversed.  The lowest three bands are re-solved
+    in a doubled basis and must agree to ``CONVERGENCE_TOL``.
     """
     if u0 < 0:
         raise ValueError(f"lattice depth must be non-negative, got {u0}")
@@ -90,17 +92,20 @@ def bloch_spectrum(u0: float, n_planewaves: int = 33, n_k: int = 64) -> BlochSpe
         raise ValueError(f"n_k must be >= {MIN_K_POINTS}, got {n_k}")
 
     ks = quasimomentum_grid(n_k)
-    vals, vecs = np.linalg.eigh(_pendulum_matrices(u0, ks, n_planewaves))
-    # H(-k) is H(k) with the plane waves reversed, in both bases: k <= 0 covers every spectrum
+    # k <= 0 are the first n_k // 2 + 1 points; k > 0 at index i is -k at 2 (n_k // 2) - i
     half = ks <= 0
+    vals, vecs = np.linalg.eigh(_pendulum_matrices(u0, ks[half], n_planewaves))
     vals2 = np.linalg.eigvalsh(_pendulum_matrices(u0, ks[half], 2 * n_planewaves + 1))
-    worst = float(np.max(np.abs(vals[half, :3] - vals2[:, :3])))
+    worst = float(np.max(np.abs(vals[:, :3] - vals2[:, :3])))
     if worst > CONVERGENCE_TOL:
         raise ConvergenceError(
             f"lowest bands not converged at n_planewaves={n_planewaves}: "
             f"residual {worst:.3e} E_rec > {CONVERGENCE_TOL:.1e}"
         )
-    return BlochSpectrum(ks, vals.T, vecs[:, :, 0], n_planewaves)
+    i = np.arange(n_k)
+    partner = np.minimum(i, 2 * (n_k // 2) - i)
+    states = np.where(half[:, None], vecs[partner, :, 0], vecs[partner, ::-1, 0])
+    return BlochSpectrum(ks, vals[partner].T, states, n_planewaves)
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,10 @@ def write_matrix(path: Path, joint: distributions.JointDistribution, comment: st
     joint = decimate_joint(joint)
     unit = "a" if joint.kind == "position" else "hbar/a"
     x1_words, x1_masks = _text_field(joint.axis1, " ")
-    x2_words, x2_masks = _text_field(joint.axis2, " ")
+    if np.array_equal(joint.axis2, joint.axis1):  # every joint the commands write
+        x2_words, x2_masks = x1_words, x1_masks
+    else:
+        x2_words, x2_masks = _text_field(joint.axis2, " ")
     w1, w2 = x1_words.shape[1], x2_words.shape[1]
     value = slice(w1 + w2, w1 + w2 + _VALUE_WORDS)
     rows = min(_ROWS_PER_BLOCK, joint.axis1.size)

@@ -6,9 +6,10 @@ energy H_0 set to zero (a global offset).  The dipole-dipole interaction
 acts only when the atoms face each other, j == l.
 
 On a ring without external potential the total quasimomentum K = 2 pi m / N
-is conserved, and ``diagonalize`` solves the N blocks of fixed K, each N x N,
+is conserved, and ``diagonalize`` solves blocks of fixed K, each N x N,
 instead of the N^2 x N^2 matrix (Valiente & Petrosyan, J. Phys. B 41,
-161002 (2008)).
+161002 (2008)).  H is real, so the block at -K is the one at K: only
+m = 0..N//2 are solved.
 """
 
 from __future__ import annotations
@@ -276,16 +277,20 @@ def build(model: ModelParams, external: ExternalPotential | None = None) -> TwoA
 def _symmetry_blocks(
     hamiltonian: TwoAtomHamiltonian,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Diagonal blocks of H, the total quasimomentum K of each, and the
-    bottom edge of each block's two-free-atom continuum.
+    """Diagonal blocks of H to solve, the total quasimomentum K of every
+    block, and the bottom edge of each solved block's two-free-atom
+    continuum.
 
     On a free ring c_jl = e^{iK(j+l)/2} g(l - j) / sqrt(N) gives one real
-    block per K: relative hopping t_K = 2 V_hop cos(K/2), V_dd at r = 0,
-    and the sign (-1)^m = e^{iKN/2} on the hop that wraps from r = N - 1
-    to r = 0.  Its continuum starts at -2|t_K|.  Any other model is one
-    block, the dense matrix, with K None; the free open chain's continuum
-    starts at twice the single-atom minimum, -4|V_hop| cos(pi/(N+1)), and
-    under an external potential the edge is -inf (no pair band).
+    block per K = 2 pi m / N: relative hopping t_K = 2 V_hop cos(K/2),
+    V_dd at r = 0, and the sign (-1)^m = e^{iKN/2} on the hop that wraps
+    from r = N - 1 to r = 0.  Its continuum starts at -2|t_K|.  Block
+    N - m is block m in the gauge g(r) -> (-1)^r g(r) (t_K flips sign and
+    so does the wrap's relative sign), so only m = 0..N//2 are returned.
+    Any other model is one block, the dense matrix, with K None; the free
+    open chain's continuum starts at twice the single-atom minimum,
+    -4|V_hop| cos(pi/(N+1)), and under an external potential the edge is
+    -inf (no pair band).
     """
     n = hamiltonian.site_count
     if hamiltonian.external.kind != "none":
@@ -293,10 +298,10 @@ def _symmetry_blocks(
     if hamiltonian.boundary != "periodic":
         edge = -4.0 * abs(hamiltonian.hop) * np.cos(np.pi / (n + 1))
         return hamiltonian.dense()[None], None, np.array([edge])
-    m = np.arange(n)
-    k = 2.0 * np.pi * m / n
-    relative_hop = 2.0 * hamiltonian.hop * np.cos(k / 2.0)
-    blocks = np.zeros((n, n, n))
+    k = 2.0 * np.pi * np.arange(n) / n
+    m = np.arange(n // 2 + 1)
+    relative_hop = 2.0 * hamiltonian.hop * np.cos(k[m] / 2.0)
+    blocks = np.zeros((m.size, n, n))
     r = np.arange(n - 1)
     blocks[:, r, r + 1] = blocks[:, r + 1, r] = relative_hop[:, None]
     blocks[:, 0, n - 1] = blocks[:, n - 1, 0] = relative_hop * (-1.0) ** m
@@ -309,10 +314,12 @@ class SpectrumResult:
     """Sorted eigenvalues, each symmetry block's eigenvectors (see
     ``_symmetry_blocks``) and the pair band: the sorted indices of the
     eigenvalues that lie below their own block's continuum edge.
-    ``order[i]`` is the flat (block, column) index of the i-th eigenvalue."""
+    ``order[i]`` is the flat (block, column) index of the i-th eigenvalue,
+    over every block; on the ring, block N - m is solved block m in the
+    gauge g(r) -> (-1)^r g(r)."""
 
     eigenvalues: np.ndarray
-    block_vectors: np.ndarray            # (blocks, d, d), eigenvectors in columns
+    block_vectors: np.ndarray            # (solved blocks, d, d), eigenvectors in columns
     quasimomenta: np.ndarray | None
     order: np.ndarray
     site_count: int
@@ -322,10 +329,12 @@ class SpectrumResult:
         """The ``index``-th eigenstate in the product basis."""
         n = self.site_count
         block, column = divmod(int(self.order[index]), self.block_vectors.shape[2])
-        vector = self.block_vectors[block][:, column]
         if self.quasimomenta is None:
-            return TwoAtomState(vector.reshape(n, n))
+            return TwoAtomState(self.block_vectors[block][:, column].reshape(n, n))
         sites = np.arange(n)
+        vector = self.block_vectors[min(block, n - block)][:, column]
+        if block > n // 2:
+            vector = vector * (-1.0) ** sites
         relative = (sites[None, :] - sites[:, None]) % n
         k = float(self.quasimomenta[block])
         # e^{iK(j+l)/2} g(l-j) = e^{iK(j+r/2)} g(r) with r = (l-j) mod N
@@ -363,6 +372,10 @@ def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
     worst = float(np.max(np.abs(blocks @ vecs - vecs * vals[:, None, :])))
     if worst > 1e-8 * scale:
         raise RuntimeError(f"eigenpair residual {worst:.2e} exceeds 1e-8 * |H|")
+    if quasimomenta is not None:  # block N - m has the spectrum of block m
+        m = np.arange(quasimomenta.size)
+        mirror = np.minimum(m, m.size - m)
+        vals, edges = vals[mirror], edges[mirror]
 
     order = np.argsort(vals, axis=None, kind="stable")
     threshold = edges - BAND_EDGE_MARGIN * np.maximum(1.0, np.abs(edges))

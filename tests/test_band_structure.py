@@ -75,6 +75,36 @@ class TestBlochSpectrum:
         assert np.max(residual) == pytest.approx(7.701e-07, rel=1e-3)
 
 
+class TestTimeReversal:
+    """``bloch_spectrum`` solves k <= 0 and takes k > 0 from -k."""
+
+    @staticmethod
+    def full_grid(u0: float, n_k: int) -> bs.BlochSpectrum:
+        ks = bs.quasimomentum_grid(n_k)
+        vals, vecs = np.linalg.eigh(bs._pendulum_matrices(u0, ks, 33))
+        return bs.BlochSpectrum(ks, vals.T, vecs[:, :, 0], 33)
+
+    @pytest.mark.parametrize("n_k", [8, 9, 25, 40, 64, 100])
+    def test_bands_at_minus_k_bit_equal(self, n_k):
+        spectrum = bs.bloch_spectrum(3.93, n_k=n_k)
+        ks = spectrum.quasimomenta
+        positive = np.flatnonzero(ks > 0)
+        partner = [int(np.argmin(np.abs(ks + k))) for k in ks[positive]]
+        assert np.allclose(ks[partner], -ks[positive], rtol=0, atol=1e-12)
+        assert np.array_equal(spectrum.band_energies[:, positive], spectrum.band_energies[:, partner])
+        reference = self.full_grid(3.93, n_k)
+        assert np.allclose(spectrum.band_energies[:3], reference.band_energies[:3], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_k", [8, 9, 25, 40, 100])
+    @pytest.mark.parametrize("depth", [1.0, 3.93, 10.0])
+    def test_wannier_matches_full_grid_solve(self, n_k, depth):
+        halved = bs.wannier(bs.bloch_spectrum(depth, n_k=n_k))
+        full = bs.wannier(self.full_grid(depth, n_k))
+        scale = np.max(np.abs(full.wannier_0))
+        assert np.max(np.abs(halved.wannier_0 - full.wannier_0)) <= 1e-14 * scale
+        assert halved.sigma == pytest.approx(full.sigma, rel=1e-14)
+
+
 class TestHopping:
     def test_lithium_depth_value(self, spectrum393):
         result = bs.hopping_exact(spectrum393)

@@ -138,17 +138,26 @@ class TestBlasThreads:
             assert manifest["blas_threads"] == 1
 
 
-@pytest.mark.parametrize("command", ["dist", "protocol"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["dist"], id="dist"),
+        pytest.param(["protocol"], id="protocol"),
+        pytest.param(["bands"], id="bands"),
+        pytest.param(["spectrum", "--sweep", "vdd 0:2.5:3"], id="ring-spectrum-sweep"),
+    ],
+)
 def test_artifacts_independent_of_blas_threads(tmp_path, command):
     outs, stdouts = [], []
     for threads in ("2", None):
         out = tmp_path / str(threads)
-        result = run_cli("--config", str(CONFIG), "--out", str(out), command, env=blas_env(threads))
+        result = run_cli("--config", str(CONFIG), "--out", str(out), *command, env=blas_env(threads))
         outs.append(out)
         stdouts.append(result.stdout)
     names = sorted(p.name for p in outs[0].iterdir() if p.name != "run_manifest.json")
     assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "run_manifest.json")
-    assert len(names) > 1
+    # every declared artifact, and only those (spectrum writes one file)
+    assert names and names == json.loads((outs[0] / "run_manifest.json").read_text())["outputs"]
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     assert stdouts[0] == stdouts[1]

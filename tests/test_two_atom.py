@@ -210,6 +210,93 @@ class TestDiagonalize:
         )
 
 
+def every_ring_block(ham: ta.TwoAtomHamiltonian) -> np.ndarray:
+    """All N relative-coordinate blocks of a free ring, each built from its
+    own K = 2 pi m / N: hop 2 V_hop cos(K/2), wrap sign (-1)^m, V_dd at r = 0."""
+    n = ham.site_count
+    m = np.arange(n)
+    t = 2 * ham.hop * np.cos(np.pi * m / n)
+    blocks = np.zeros((n, n, n))
+    r = np.arange(n - 1)
+    blocks[:, r, r + 1] = blocks[:, r + 1, r] = t[:, None]
+    blocks[:, 0, n - 1] = blocks[:, n - 1, 0] = t * (-1.0) ** m
+    blocks[:, 0, 0] = ham.vdd
+    return blocks
+
+
+class TestTimeReversal:
+    """The ring solves blocks m = 0..N//2; block N - m is block m in the
+    gauge g(r) -> (-1)^r g(r)."""
+
+    SITES = [3, 8, 9, 25, 40, 100]
+
+    @pytest.fixture(params=SITES, ids=[f"N{n}" for n in SITES])
+    def ring(self, request):
+        ham = ta.build(model_for(-0.088112203682, -0.4693, site_count=request.param))
+        return ham, ta.diagonalize(ham)
+
+    @staticmethod
+    def block_eigenvalues(spectrum: ta.SpectrumResult) -> np.ndarray:
+        """(N, N) eigenvalues by block: row m holds block m's columns."""
+        n = spectrum.site_count
+        vals = np.empty(n * n)
+        vals[spectrum.order] = spectrum.eigenvalues
+        return vals.reshape(n, n)
+
+    def test_matches_a_solve_of_every_block(self, ring):
+        ham, spectrum = ring
+        n = ham.site_count
+        assert spectrum.block_vectors.shape == (n // 2 + 1, n, n)
+        reference = np.sort(np.linalg.eigvalsh(every_ring_block(ham)), axis=None)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(spectrum.eigenvalues - reference)) <= 1e-14 * scale
+
+    def test_partner_blocks_bit_equal(self, ring):
+        _, spectrum = ring
+        n = spectrum.site_count
+        vals = self.block_eigenvalues(spectrum)
+        assert np.array_equal(vals, vals[(n - np.arange(n)) % n])
+
+    def test_residual_over_every_block(self, ring):
+        ham, spectrum = ring
+        n = ham.site_count
+        solved, _, _ = ta._symmetry_blocks(ham)
+        vecs = spectrum.block_vectors
+        vals = self.block_eigenvalues(spectrum)
+        worst = np.max(np.abs(solved @ vecs - vecs * vals[: n // 2 + 1, None, :]))
+        # the gauge maps each solved block and its vectors onto the partner
+        m = np.arange(n)
+        sign = np.where(m > n // 2, -1.0, 1.0)[:, None] ** np.arange(n)
+        mirror = np.minimum(m, n - m)
+        blocks = solved[mirror] * sign[:, :, None] * sign[:, None, :]
+        vectors = vecs[mirror] * sign[:, :, None]
+        every = np.max(np.abs(blocks @ vectors - vectors * vals[:, None, :]))
+        assert every == worst
+        # and onto the block built from the partner's own K
+        direct = every_ring_block(ham)
+        assert np.max(np.abs(blocks - direct)) <= 1e-15 * abs(ham.hop)
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(direct @ vectors - vectors * vals[:, None, :])) <= 1e-14 * scale
+
+    def test_state_at_minus_k_is_the_conjugate(self, ring):
+        # H is real, so c(-K) = conj c(K); K = pi is its own partner only up
+        # to the gauge (-1)^r and is left out
+        _, spectrum = ring
+        n = spectrum.site_count
+        band = spectrum.diatom_band
+        blocks = spectrum.order[band] // n
+        assert band.size == n  # |V_dd| > 4 |V_hop|: one pair per block
+        for i, m in zip(band, blocks):
+            if 2 * m == n:
+                continue
+            (j,) = band[blocks == (n - m) % n]
+            c, c_minus = spectrum.state(i), spectrum.state(j)
+            assert c.quasimomentum + c_minus.quasimomentum == pytest.approx(
+                2 * np.pi * (c.quasimomentum > 0), abs=1e-12
+            )
+            assert np.max(np.abs(c_minus.amplitudes - c.amplitudes.conj())) <= 1e-13
+
+
 class TestGroundState:
     def test_zero_hop_exactly_diagonal(self):
         spectrum = diagonalized(0.0, -1.0)
