@@ -30,6 +30,7 @@ from .parameters import (
     ExperimentConfig,
     ModelParams,
     SweepSettings,
+    _model_and_bands,
     lithium_default,
     load_config,
     parameter_report,
@@ -119,14 +120,12 @@ def decimate_joint(joint: distributions.JointDistribution) -> distributions.Join
     )
 
 
-# The "%.12g" text of a float, built with numpy.  The value is scaled to
-# 12 significant digits, m = |v| 10^(11-e) with e = floor(log10 |v|), and
-# rounded.  Its field is five 8-byte words: "-0.000" (sign and lead of
-# values below 1e-4), the 12 digits each followed by a ".", and "e+XX[X]";
-# a mask keeps the bytes "%.12g" prints.  The digits come four at a time
-# from one table, the whole mask from another.  A value goes through
-# Python's "%.12g" % v instead when it is zero, not finite, outside
-# [1e-290, 1e290) (subnormals included), when frac(m) lies within
+# The "%19.11e" text of a float, built with numpy: "  d.ddddddddddde+XX",
+# with "-" in place of the second space for a negative value.  The value is
+# scaled to 12 significant digits, m = |v| 10^(11-e) with
+# e = floor(log10 |v|), and rounded.  A value goes through Python's
+# "%19.11e" % v instead when it is zero, not finite, outside [1e-99, 1e99)
+# (where the exponent has three digits), when frac(m) lies within
 # _TIE_MARGIN of 1/2, or when m or its rounding leaves [1e11, 1e12): log10
 # one off next to a power of ten, or a carry to the next power of ten.
 #
@@ -135,69 +134,30 @@ def decimate_joint(joint: distributions.JointDistribution) -> distributions.Join
 # |d1|, |d2| <= 2^-53.  As m < 1e12, |m - m_exact| < 1e12 * 2.3e-16 =
 # 2.3e-4 < _TIE_MARGIN.  Outside the margin, m and m_exact lie on the same
 # side of the half-integer, so rint(m) is the correctly rounded 12-digit
-# mantissa that "%.12g" prints.  An m >= 1e11 with m_exact < 1e11 lies
+# mantissa that "%19.11e" prints.  An m >= 1e11 with m_exact < 1e11 lies
 # within 2.3e-4 of 1e11; both round to the same power of ten.
 _TIE_MARGIN = 1e-3
-_E_MIN = -300  # smallest decimal exponent in the tables
+_E_MIN = -300  # smallest decimal exponent in the table
 _POW10 = np.array([float(f"1e{k}") for k in range(_E_MIN, 309)])
-_VALUE_WORDS = 5
+_VALUE_WIDTH = 19  # "%19.11e" of any float64, three-digit exponents and nan included
+_ROWS_PER_BLOCK = 16  # ~5k values: the block's lines and temporaries stay below 1 MB
 
 
-def _words(texts: list[str], width: int) -> np.ndarray:
-    """``texts`` as rows of ``width // 8`` words, zero-padded."""
-    text = np.array([t.encode() for t in texts], dtype=f"S{width}")
-    return text.view(np.uint64).reshape(len(texts), width // 8)
+def _byte_rows(texts: list[str]) -> np.ndarray:
+    """ASCII ``texts`` of one length as the rows of a uint8 array."""
+    return np.frombuffer("".join(texts).encode(), np.uint8).reshape(len(texts), -1)
 
 
-def _prefix_masks(texts: list[str], width: int) -> np.ndarray:
-    """Masks of the bytes of ``texts`` in their rows of ``_words``."""
-    lengths = np.array([len(t) for t in texts])
-    return (np.arange(width) < lengths[:, None]).view(np.uint64)
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+_EXPONENTS = _byte_rows([f"e{e:+03d}" for e in range(-99, 99)])
 
 
-def _value_masks() -> np.ndarray:
-    """Shown bytes of a value field, one row per word, one column per
-    exponent class (e = -5..12, with -5 and 12 standing for two-digit
-    exponents, then e <= -100 and e >= 100), digit count (0..12) and
-    sign."""
-    shown = np.zeros((20, 13, 2, 8 * _VALUE_WORDS), bool)
-    shown[:, :, 1, 0] = True
-    for c, e in enumerate([*range(-5, 13), -100, 100]):
-        fixed = -4 <= e < 12
-        small = fixed and e < 0
-        point = (12 if small else e + 1) if fixed else 1  # digits before "."
-        if small:
-            shown[c, :, :, 1 : 2 - e] = True  # "0.", "0.0", ...
-        if not fixed:
-            shown[c, :, :, 32 : 36 + (abs(e) >= 100)] = True
-        for count in range(13):
-            limit = count if small else max(count, point)
-            shown[c, count, :, 8 : 8 + 2 * limit : 2] = True
-            if count > point:
-                shown[c, count, :, 7 + 2 * point] = True
-    return shown.reshape(-1, 8 * _VALUE_WORDS).view(np.uint64).T.copy()
-
-
-# "d.d.d.d." of each four-digit group, and its trailing zeros (4 for 0)
-_QUADS = np.full((10000, 8), ord("."), np.uint8)
-_QUADS[:, ::2] = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + ord("0")
-_QUAD_WORDS = _QUADS.view(np.uint64)[:, 0]
-_QUAD_ZEROS = np.logical_and.accumulate(_QUADS[:, 6::-2] == ord("0"), axis=1).sum(axis=1, dtype=np.int8)
-_LEAD_WORD = _words(["-0.000"], 8)[0, 0]
-_EXP_WORDS = _words([f"e{e:+03d}" for e in range(_E_MIN, 1 - _E_MIN)], 8)[:, 0]
-_EXP_CLASS = np.clip(np.arange(_E_MIN, 1 - _E_MIN), -5, 12) + 5
-_EXP_CLASS[: -100 - _E_MIN + 1] = 18
-_EXP_CLASS[100 - _E_MIN :] = 19
-_VALUE_MASKS = _value_masks()
-_ROWS_PER_BLOCK = 16  # ~5k values: the block's fields and temporaries stay below 1 MB
-
-
-def _format_g12(values: np.ndarray, words: np.ndarray, masks: np.ndarray) -> int:
-    """Write the "%.12g" text of each of ``values`` into ``words`` (shape
-    ``values.shape + (_VALUE_WORDS,)``), left-aligned, and the mask of its
-    bytes into ``masks``.  Returns how many values Python's % formatted."""
+def _format_e11(values: np.ndarray, out: np.ndarray) -> int:
+    """Write the "%19.11e" text of each of ``values`` into ``out``, a
+    uint8 array of shape ``values.shape + (19,)``.  Returns how many
+    values Python's % formatted."""
     a = np.abs(values)
-    fast = (a >= 1e-290) & (a < 1e290)
+    fast = (a >= 1e-99) & (a < 1e99)
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     m = a * _POW10[11 - e - _E_MIN]
@@ -206,72 +166,72 @@ def _format_g12(values: np.ndarray, words: np.ndarray, masks: np.ndarray) -> int
     d = whole.astype(np.int64) + (frac > 0.5)
     fast &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (m >= 1e11) & (d < 10**12)
     d[~fast] = 10**11
+    e[~fast] = 0
 
     high, low = np.divmod(d, 10**8)
     mid, low = np.divmod(low, 10**4)
-    zeros = _QUAD_ZEROS[low] + (low == 0) * (_QUAD_ZEROS[mid] + (mid == 0) * _QUAD_ZEROS[high])
-    words[..., 0] = _LEAD_WORD
-    words[..., 1] = _QUAD_WORDS[high]
-    words[..., 2] = _QUAD_WORDS[mid]
-    words[..., 3] = _QUAD_WORDS[low]
-    words[..., 4] = _EXP_WORDS[e - _E_MIN]
-    row = (_EXP_CLASS[e - _E_MIN] * 13 + 12 - zeros) * 2 + np.signbit(values)
-    for k, column in enumerate(_VALUE_MASKS):
-        masks[..., k] = column[row]
+    # the 12 digits go to bytes 3-14; the lead digit then moves before the "."
+    out[..., 0] = ord(" ")
+    out[..., 1] = np.where(np.signbit(values), ord("-"), ord(" "))
+    out[..., 3:7] = _DIGITS[high]
+    out[..., 7:11] = _DIGITS[mid]
+    out[..., 11:15] = _DIGITS[low]
+    out[..., 2] = out[..., 3]
+    out[..., 3] = ord(".")
+    out[..., 15:] = _EXPONENTS[e + 99]
 
     slow = np.nonzero(~fast)
     if slow[0].size:
-        texts = ["%.12g" % v for v in values[slow].tolist()]
-        words[slow] = _words(texts, 8 * _VALUE_WORDS)
-        masks[slow] = _prefix_masks(texts, 8 * _VALUE_WORDS)
+        out[slow] = _byte_rows(["%19.11e" % v for v in values[slow].tolist()])
     return slow[0].size
 
 
-def _text_field(values: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_fmt(v) + end`` of each value as rows of zero-padded words, and
-    the masks of their bytes."""
-    texts = [_fmt(v) + end for v in values]
-    width = -(-max(map(len, texts)) // 8) * 8
-    return _words(texts, width), _prefix_masks(texts, width)
+def _text_column(values: np.ndarray) -> np.ndarray:
+    """``_fmt(v)`` of each value, right-aligned to the longest, as rows of
+    bytes."""
+    texts = [_fmt(v) for v in values]
+    width = max(map(len, texts))
+    return _byte_rows([t.rjust(width) for t in texts])
 
 
 def write_matrix(path: Path, joint: distributions.JointDistribution, comment: str) -> None:
     """Gnuplot `splot`-ready blocks: x1 x2 density, blank line per x1.
 
-    Each line is ``_fmt(x1) _fmt(x2) "%.12g" % density``.  A block of rows
-    is laid out as fixed-width fields of words with a mask of the bytes in
-    use, and written as one compress of the fields, so only one block of
-    the file is held in memory."""
+    Each line is ``"%*s %*s %19.11e" % (w1, _fmt(x1), w2, _fmt(x2), v)``,
+    with ``w1`` and ``w2`` the longest ``_fmt`` text of each axis, so every
+    line of a file has the same length.  A block of rows is built as one
+    byte array and written at once, so only one block of the file is held
+    in memory.  ``_format_e11`` writes the values; the few it cannot prove
+    correct (zero, non-finite, outside [1e-99, 1e99), next to a rounding
+    tie) go through Python's ``"%19.11e" % v``."""
     joint = decimate_joint(joint)
     unit = "a" if joint.kind == "position" else "hbar/a"
-    x1_words, x1_masks = _text_field(joint.axis1, " ")
+    x1_text = _text_column(joint.axis1)
     if np.array_equal(joint.axis2, joint.axis1):  # every joint the commands write
-        x2_words, x2_masks = x1_words, x1_masks
+        x2_text = x1_text
     else:
-        x2_words, x2_masks = _text_field(joint.axis2, " ")
-    w1, w2 = x1_words.shape[1], x2_words.shape[1]
-    value = slice(w1 + w2, w1 + w2 + _VALUE_WORDS)
-    rows = min(_ROWS_PER_BLOCK, joint.axis1.size)
-    shape = (rows, joint.axis2.size, value.stop + 1)
-    words, masks = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
-    # axis2 and the line ends are the same in every block: "\n", and a
-    # second "\n" after each row
-    words[:, :, w1 : value.start] = x2_words
-    masks[:, :, w1 : value.start] = x2_masks
-    words[:, :, -1:] = _words(["\n\n"], 8)
-    masks[:, :, -1:] = _prefix_masks(["\n"], 8)
-    masks[:, -1, -1:] = _prefix_masks(["\n\n"], 8)
+        x2_text = _text_column(joint.axis2)
+    w1, w2 = x1_text.shape[1], x2_text.shape[1]
+    value = slice(w1 + w2 + 2, w1 + w2 + 2 + _VALUE_WIDTH)
+    width = value.stop + 1
+    rows, n2 = min(_ROWS_PER_BLOCK, joint.axis1.size), joint.axis2.size
+    # a row of the file is its lines and the blank line that ends it
+    block = np.empty((rows, n2 * width + 1), np.uint8)
+    lines = block[:, :-1].reshape(rows, n2, width)
+    # axis2, the separators and the line ends are the same in every block
+    lines[:, :, w1] = lines[:, :, value.start - 1] = ord(" ")
+    lines[:, :, w1 + 1 : value.start - 1] = x2_text
+    lines[:, :, -1] = block[:, -1] = ord("\n")
     with path.open("wb") as f:
         f.write(
             f"# {comment}\n# columns: axis1 [{unit}], axis2 [{unit}], probability density\n".encode()
         )
         for start in range(0, joint.axis1.size, rows):
-            block = joint.density[start : start + rows]
-            n = block.shape[0]
-            words[:n, :, :w1] = x1_words[start : start + n, None]
-            masks[:n, :, :w1] = x1_masks[start : start + n, None]
-            _format_g12(block, words[:n, :, value], masks[:n, :, value])
-            f.write(np.compress(masks[:n].view(bool).ravel(), words[:n].view(np.uint8).ravel()))
+            density = joint.density[start : start + rows]
+            n = density.shape[0]
+            lines[:n, :, :w1] = x1_text[start : start + n, None]
+            _format_e11(density, lines[:n, :, value])
+            f.write(block[:n].tobytes())
 
 
 def _config_hash(config: ExperimentConfig) -> str:
@@ -412,9 +372,9 @@ def cmd_params(config: ExperimentConfig, out: Path) -> list[str]:
 
 
 def cmd_bands(config: ExperimentConfig, out: Path) -> list[str]:
-    model = config.model()
+    # the dispersion is the Bloch spectrum the model's hopping came from
+    model, _, spectrum = _model_and_bands(config.physical, config.site_count, config.boundary)
     basis = _wannier_basis(config, model.lattice_depth)
-    spectrum = band_structure.bloch_spectrum(model.lattice_depth)
     write_csv(
         out / "dispersion.csv",
         ["k_per_a", "band0_erec", "band1_erec", "band2_erec"],
@@ -824,7 +784,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "init-config":
-        write_config(lithium_default(), args.path)
+        try:
+            write_config(lithium_default(), args.path)
+        except OSError as exc:
+            print(f"config error: cannot write config: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"wrote {args.path}")
         return EXIT_OK
 
@@ -867,6 +831,10 @@ def _run(args: argparse.Namespace) -> int:
         messages = list(dict.fromkeys(str(w.message) for w in caught))
         for message in messages:
             print(f"warning: {message}", file=sys.stderr)
+        write_manifest(out, args.command, config, outputs, t0, messages)
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -878,8 +846,6 @@ def _run(args: argparse.Namespace) -> int:
     ) as exc:
         print(f"numerical error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    write_manifest(out, args.command, config, outputs, t0, messages)
     return EXIT_OK
 
 

@@ -162,16 +162,18 @@ def to_model(
     the computed lowest band), the pair interaction from the nearest-site
     dipole-dipole formula.
     """
-    return _model_and_hopping(phys, site_count, boundary)[0]
+    return _model_and_bands(phys, site_count, boundary)[0]
 
 
-def _model_and_hopping(
+def _model_and_bands(
     phys: PhysicalParams, site_count: int, boundary: str
-) -> tuple[ModelParams, band_structure.HoppingResult]:
-    """:func:`to_model` and the band hopping it was built from."""
+) -> tuple[ModelParams, band_structure.HoppingResult, band_structure.BlochSpectrum]:
+    """:func:`to_model`, the band hopping it was built from and the Bloch
+    spectrum (64 k points) of that hopping."""
     erec = recoil_energy(phys.atom_mass, phys.lambda_lattice)
     u0 = lattice_depth(phys.intensity_lattice, phys.dipole_lattice, phys.detuning_lattice) / erec
-    hopping = band_structure.hopping_exact(band_structure.bloch_spectrum(u0))
+    spectrum = band_structure.bloch_spectrum(u0)
+    hopping = band_structure.hopping_exact(spectrum)
     coupling = phys.coupling_field().coupling
     vdd = liddi.vdd_nearest(coupling, phys.lambda_coupling, phys.lattice_shift) / erec
     return ModelParams(
@@ -183,7 +185,7 @@ def _model_and_hopping(
         lattice_constant=phys.lattice_constant,
         boundary=boundary,
         tight_binding_valid=hopping.tight_binding_valid,
-    ), hopping
+    ), hopping, spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +478,7 @@ def write_config(config: ExperimentConfig, path: str | Path) -> None:
 def parameter_report(config: ExperimentConfig) -> dict:
     """Derived-parameters report (the `params` subcommand payload)."""
     phys = config.physical
-    model, hopping = _model_and_hopping(phys, config.site_count, config.boundary)
+    model, hopping, _ = _model_and_bands(phys, config.site_count, config.boundary)
     sigma_g = band_structure.gaussian_sigma(model.lattice_depth)
     fieldC = phys.coupling_field()
     alpha = liddi.polarizability(

@@ -98,14 +98,16 @@ def write_matrix_oracle(path, joint, comment) -> None:
     per row (the reference for ``cli.write_matrix``)."""
     joint = cli.decimate_joint(joint)
     unit = "a" if joint.kind == "position" else "hbar/a"
-    cells = [f"{cli._fmt(x2)} %.12g" for x2 in joint.axis2]
+    x1s = [cli._fmt(x1) for x1 in joint.axis1]
+    x2s = [cli._fmt(x2) for x2 in joint.axis2]
+    w1, w2 = max(map(len, x1s)), max(map(len, x2s))
+    cells = ["%*s %%19.11e" % (w2, x2) for x2 in x2s]
     # Written row by row, so no copy of the whole file is held in memory.
-    # Each row is one %-format of its Python floats; "%.12g" % v is what
-    # _fmt writes for a float, nan and inf included.
+    # Each row is one %-format of its Python floats.
     with path.open("w") as f:
         f.write(f"# {comment}\n# columns: axis1 [{unit}], axis2 [{unit}], probability density\n")
-        for x1, block in zip(joint.axis1, joint.density):
-            prefix = cli._fmt(x1) + " "
+        for x1, block in zip(x1s, joint.density):
+            prefix = "%*s " % (w1, x1)
             template = prefix + ("\n" + prefix).join(cells)
             f.write(template % tuple(block.tolist()))
             f.write("\n\n")

@@ -172,6 +172,33 @@ class TestArtifacts:
         wannier = np.loadtxt(tmp_path / "wannier.csv", delimiter=",", skiprows=1)
         assert wannier.shape[1] == 2
 
+    def test_bands_solves_each_lattice_once(self, tmp_path, monkeypatch):
+        # the dispersion is the 64-point spectrum the model's hopping came
+        # from; only the Wannier basis needs a solve of its own, on N points
+        calls = []
+        solve = band_structure.bloch_spectrum
+
+        def counting(u0, **kwargs):
+            calls.append((u0, kwargs.get("n_k", 64)))
+            return solve(u0, **kwargs)
+
+        monkeypatch.setattr(band_structure, "bloch_spectrum", counting)
+        assert cli.main(["--out", str(tmp_path), "bands"]) == 0
+        monkeypatch.undo()
+        config = lithium_default()
+        depth = config.model().lattice_depth
+        assert calls == [(depth, 64), (depth, 25)]
+        with cli._one_blas_thread():
+            rows = band_structure.dispersion_csv_rows(solve(depth))
+            basis = band_structure.wannier(solve(depth, n_k=25), points_per_cell=config.resolution)
+        header = ["k_per_a", "band0_erec", "band1_erec", "band2_erec"]
+        cli.write_csv(tmp_path / "dispersion.old", header, rows)
+        cli.write_csv(
+            tmp_path / "wannier.old", ["x_a", "chi"], zip(basis.centered_grid(), basis.wannier_0)
+        )
+        for name in ("dispersion", "wannier"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.old").read_bytes()
+
     def test_liddi_scan(self, tmp_path):
         run_cli("--config", str(CONFIG), "--out", str(tmp_path), "liddi-scan")
         data = np.loadtxt(tmp_path / "liddi_scan.csv", delimiter=",", skiprows=1)
@@ -261,8 +288,8 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("size", [5, 700])
     def test_matrix_values_formatted_as_fmt(self, tmp_path, size):
-        # every line reads as the CSV cell format of its axis values and
-        # density, also for
+        # every line holds the CSV cell format of its axis values and the
+        # "%.11e" text of its density, in lines of one length, also for
         # nan, -0, 1e-300 and 0.1 + 0.2, before and after decimation
         # (stride 3 at 700 points)
         axis = np.linspace(-3.0, 3.0, size)
@@ -275,18 +302,24 @@ class TestArtifacts:
         cli.write_matrix(tmp_path / "m.dat", joint, "test")
 
         shown = cli.decimate_joint(joint)
-        expected = ["# test", "# columns: axis1 [hbar/a], axis2 [hbar/a], probability density"]
+        expected = []
         for x1, block in zip(shown.axis1, shown.density):
             expected += [
-                f"{fmt_oracle(x1)} {fmt_oracle(x2)} {fmt_oracle(v)}"
+                [fmt_oracle(x1), fmt_oracle(x2), "%.11e" % v]
                 for x2, v in zip(shown.axis2, block)
             ]
-            expected.append("")
+            expected.append([])
         text = (tmp_path / "m.dat").read_text()
-        assert text.splitlines() == expected
+        lines = text.splitlines()
+        assert lines[:2] == ["# test", "# columns: axis1 [hbar/a], axis2 [hbar/a], probability density"]
+        assert [line.split() for line in lines[2:]] == expected
+        assert len({len(line) for line in lines[2:] if line}) == 1
         assert text.endswith("\n\n")
-        for value in ("nan", "-0", "1e-300", "0.3", "inf", "1e+22", "4.94065645841e-324"):
-            assert any(line.endswith(f" {value}") for line in expected)
+        for value in (
+            "nan", "-0.00000000000e+00", "1.00000000000e-300", "3.00000000000e-01", "inf",
+            "1.00000000000e+22", "4.94065645841e-324",
+        ):
+            assert any(line.endswith(f" {value}") for line in lines)
 
     def test_csv_matches_per_value_writer(self, tmp_path):
         # every cell type the writer meets, in rows of repeated and of
@@ -415,10 +448,10 @@ def assert_matrix_matches_oracle(path, joint):
     assert path.with_suffix(".new").read_bytes() == path.with_suffix(".old").read_bytes()
 
 
-# Values where "%.12g" is hard: exact ties at the 13th digit (rounded half
-# to even), the switch points between fixed and exponent notation on
-# either side of their rounding, three-digit exponents, signed zeros,
-# non-finite values, the smallest subnormal and the ends of the fast path.
+# Values where "%19.11e" is hard: exact ties at the 13th digit (rounded
+# half to even), values that round up to a power of ten, two- and
+# three-digit exponents, signed zeros, non-finite values, the smallest
+# subnormal and the ends of the fast path [1e-99, 1e99).
 ADVERSARIAL = [
     1234567890125.0, 1234567890135.0, 999999999999.5, 999999999998.5, 0.5, 2.5,
     1e-5, 1e-4, 9.999999999995e-5, 9.999999999994e-5, 9.9999999999949e-5,
@@ -430,6 +463,7 @@ ADVERSARIAL = [
     # next to a power of ten: a carry to it, and floor(log10) one off
     9.9999999999996, 99999999999.9996, np.nextafter(1e-5, 0.0), np.nextafter(1e23, np.inf),
     np.nextafter(1e-30, 1.0), np.nextafter(1000.0, 0.0),
+    1e-99, np.nextafter(1e-99, 0.0), 9.9999999999996e98, 1e99, np.nextafter(1e99, 0.0),
 ]
 ADVERSARIAL += [-v for v in ADVERSARIAL[:24]]
 
@@ -457,9 +491,8 @@ class TestMatrixWriter:
         # a silent fall-back to per-value formatting would pass the byte
         # comparisons; at most 1% of the values may need Python's %
         density = cli.decimate_joint(real_joints[name]).density
-        words = np.empty(density.shape + (cli._VALUE_WORDS,), np.uint64)
-        masks = np.empty_like(words)
-        slow = cli._format_g12(density, words, masks)
+        out = np.empty(density.shape + (cli._VALUE_WIDTH,), np.uint8)
+        slow = cli._format_e11(density, out)
         assert slow <= 0.01 * density.size
 
     def test_adversarial_values(self, tmp_path):
@@ -470,9 +503,13 @@ class TestMatrixWriter:
         joint = any_joint(values, values[:7].copy(), density, "position")
         assert_matrix_matches_oracle(tmp_path / "m", joint)
         text = (tmp_path / "m.new").read_text()
-        for written in ("1.23456789012e+12", "1.23456789014e+12", "1e+12", "1e-05", "0.0001",
-                        "99999999999.9", "100000000000", "9.99999999999e-05", "-0", "nan", "-inf", "4.94065645841e-324",
-                        "1.5e-123", "1e+300", "1.79769313486e+308"):
+        for written in (
+            "1.23456789012e+12", "1.23456789014e+12", "1.00000000000e+12", "1.00000000000e-05",
+            "1.00000000000e-04", "9.99999999999e+10", "1.00000000000e+11", "9.99999999999e-05",
+            "-0.00000000000e+00", "nan", "-inf", "4.94065645841e-324", "1.50000000000e-123",
+            "1.00000000000e+300", "1.79769313486e+308", "1.00000000000e+01", "9.99999999999e+99",
+            "1.00000000000e-100",
+        ):
             assert f" {written}\n" in text
 
     def test_near_ties_match_per_value_writer(self, tmp_path):
@@ -500,6 +537,26 @@ class TestMatrixWriter:
         axis1 = np.resize(np.array(values[::-1]), rows)
         joint = any_joint(axis1, density[0].copy(), density, "momentum")
         assert_matrix_matches_oracle(tmp_path_factory.mktemp("matrix") / "m", joint)
+
+    def test_files_parse_to_the_12_digit_values(self, tmp_path, monkeypatch):
+        # every matrix of dist and protocol reads back as the "%.12g" texts
+        # of its axes and densities parse: only the notation is new
+        written = {}
+        write_matrix = cli.write_matrix
+
+        def recording_write(path, joint, comment):
+            written[path] = cli.decimate_joint(joint)
+            write_matrix(path, joint, comment)
+
+        monkeypatch.setattr(cli, "write_matrix", recording_write)
+        for command in ("dist", "protocol"):
+            assert cli.main(["--out", str(tmp_path), command]) == 0
+        assert len(written) == 5
+        for path, joint in written.items():
+            x1, x2 = np.meshgrid(joint.axis1, joint.axis2, indexing="ij")
+            columns = np.stack([x1, x2, joint.density], axis=-1).reshape(-1, 3)
+            want = np.array([float("%.12g" % v) for v in columns.ravel()]).reshape(-1, 3)
+            assert np.array_equal(np.loadtxt(path), want), path.name
 
     def test_strided_joint_is_not_copied(self, tmp_path, monkeypatch):
         # decimation hands the writer a view of the full-grid density
@@ -926,6 +983,24 @@ class TestExitCodes:
         assert cli.main(["--out", str(tmp_path), "--jobs", jobs, "sweep", "sigma_E 1:2:2"]) == 2
         assert capsys.readouterr().err == f"config error: --jobs must be >= 1, got {jobs}\n"
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("target", ["missing/x.ini", "."])
+    def test_init_config_unwritable_path_is_config_error(self, tmp_path, capsys, target):
+        # a file in a missing directory, and an existing directory
+        assert cli.main(["init-config", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write config: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("blocked", ["params.json", "run_manifest.json"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, blocked):
+        # an artifact, and the manifest written after the artifacts, whose
+        # path is taken by a directory
+        (tmp_path / blocked).mkdir()
+        assert cli.main(["--out", str(tmp_path), "params"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert blocked in err and err.count("\n") == 1
 
     def test_init_config(self, tmp_path):
         target = tmp_path / "fresh.ini"
