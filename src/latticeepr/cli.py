@@ -323,34 +323,28 @@ def _one_blas_thread():
         put(threads)
 
 
-def _check_wannier_sites(config: ExperimentConfig) -> None:
-    """ConfigError below the Wannier k grid's minimum of ``MIN_K_POINTS``
-    sites."""
+def _wannier_basis(config: ExperimentConfig, depth: float) -> band_structure.WannierBasis:
+    """Wannier functions of a lattice of depth ``depth`` (E_rec) on the
+    config's N sites and output grid; ConfigError below the k grid's
+    minimum of ``MIN_K_POINTS`` sites."""
     if config.site_count < band_structure.MIN_K_POINTS:
         raise ConfigError(
             f"site_count = {config.site_count} is below the "
             f"{band_structure.MIN_K_POINTS} sites the Wannier basis needs"
         )
-
-
-def _wannier_basis(config: ExperimentConfig, depth: float) -> band_structure.WannierBasis:
-    """Wannier functions of a lattice of depth ``depth`` (E_rec) on the
-    config's N sites and output grid."""
-    _check_wannier_sites(config)
     spectrum = band_structure.bloch_spectrum(depth, n_k=config.site_count)
     return band_structure.wannier(spectrum, points_per_cell=config.resolution)
 
 
 def _thermal_joints(
-    config: ExperimentConfig,
     model: ModelParams,
     spectrum: two_atom.SpectrumResult,
+    basis: band_structure.WannierBasis,
     t_pos: float,
     t_mom: float,
 ):
     """Position joint at ``t_pos``, momentum joint at ``t_mom`` (kelvin),
-    over the split-off pair band, read out in the measurement lattice."""
-    basis = _wannier_basis(config, config.measurement_lattice_depth)
+    over the split-off pair band, read out in ``basis``."""
     pos_w = two_atom.thermal_state(spectrum, t_pos, model.recoil_energy)
     mom_w = two_atom.thermal_state(spectrum, t_mom, model.recoil_energy)
     pos = distributions.thermal_position_joint(pos_w.states(spectrum), pos_w.weights, basis)
@@ -434,8 +428,9 @@ def cmd_spectrum(
 def cmd_dist(config: ExperimentConfig, out: Path) -> list[str]:
     model = config.model(boundary="periodic")
     spectrum = two_atom.diagonalize(two_atom.build(model))
+    basis = _wannier_basis(config, config.measurement_lattice_depth)
     pos, mom = _thermal_joints(
-        config, model, spectrum, config.temperature_position_k, config.temperature_momentum_k
+        model, spectrum, basis, config.temperature_position_k, config.temperature_momentum_k
     )
     outputs = []
     write_matrix(
@@ -610,9 +605,10 @@ def _vary_model(
     return model
 
 
-def _pair_row(config: ExperimentConfig, parameter: str, value: float, row: dict) -> None:
-    """Pair band and EPR widths of the periodic model at one sweep point."""
-    model = _vary_model(config, config.model(boundary="periodic"), parameter, value)
+def _pair_row(config, model, basis, parameter, value, row) -> None:
+    """Pair band and EPR widths of the periodic ``model`` at one sweep
+    point, read out in the measurement lattice's ``basis``."""
+    model = _vary_model(config, model, parameter, value)
     t_pos, t_mom = config.temperature_position_k, config.temperature_momentum_k
     if parameter == "T":
         t_pos = t_mom = value
@@ -624,17 +620,16 @@ def _pair_row(config: ExperimentConfig, parameter: str, value: float, row: dict)
         row["diatom_min_erec"] = lo
         row["diatom_max_erec"] = hi
         row["split_gap_erec"] = spectrum.split_gap
-        pos, mom = _thermal_joints(config, model, spectrum, t_pos, t_mom)
+        pos, mom = _thermal_joints(model, spectrum, basis, t_pos, t_mom)
         metrics = distributions.epr_metrics(pos, mom)
         row["dx_minus_a"] = metrics.dx_minus
         row["dp_plus_hbar_per_a"] = metrics.dp_plus
         row["s"] = metrics.s
 
 
-def _sigma_e_row(config: ExperimentConfig, parameter: str, value: float, row: dict) -> None:
+def _sigma_e_row(config, model, basis, parameter, value, row) -> None:
     """Thermal estimate of s for a cooled envelope of width ``value`` (a)."""
     sigma = band_structure.gaussian_sigma(config.measurement_lattice_depth)
-    model = config.model(boundary="periodic")
     row["vhop_erec"] = model.hop
     row["vdd_erec"] = model.vdd
     dp_si = distributions.thermal_dp_plus(
@@ -648,9 +643,9 @@ def _sigma_e_row(config: ExperimentConfig, parameter: str, value: float, row: di
     row["s"] = 1.0 / (2.0 * sigma * dp)
 
 
-def _slope_row(config: ExperimentConfig, parameter: str, value: float, row: dict) -> None:
-    """Final displacement ratio of the protocol run under tilt ``value``."""
-    model = config.model(boundary=config.protocol.boundary)
+def _slope_row(config, model, basis, parameter, value, row) -> None:
+    """Final displacement ratio of the protocol run on ``model`` under
+    tilt ``value``."""
     row["vhop_erec"] = model.hop
     row["vdd_erec"] = model.vdd
     _, trace = _protocol_trace(config, model, value, [config.protocol.snapshot_times_s[-1]])
@@ -658,42 +653,37 @@ def _slope_row(config: ExperimentConfig, parameter: str, value: float, row: dict
 
 
 _SWEEP_ROWS = {
-    "vdd": _pair_row,
-    "vhop": _pair_row,
-    "U0": _pair_row,
-    "T": _pair_row,
-    "l": _pair_row,
+    **dict.fromkeys(("vdd", "vhop", "U0", "T", "l"), _pair_row),
     "sigma_E": _sigma_e_row,
     "slope": _slope_row,
 }
 
 
-def sweep_point(config: ExperimentConfig, parameter: str, value: float) -> list:
-    """One sweep row; failures are reported in the trailing error column."""
+def _sweep_worker(args) -> tuple[list, list]:
+    """One sweep row and the warnings its point raised, in order.  ``args``
+    are the config, what every point shares (the base model, and the
+    measurement lattice's Wannier basis or None outside the pair sweeps),
+    the parameter and its value.  A failure is reported in the row's
+    trailing error column."""
+    config, model, basis, parameter, value = args
     row: dict = {name: "" for name in SWEEP_COLUMNS}
     row["parameter"] = parameter
     row["value"] = value
-    try:
-        _SWEEP_ROWS[parameter](config, parameter, value, row)
-    except Exception as exc:  # per-point failure recorded, sweep continues
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return [row[name] for name in SWEEP_COLUMNS]
-
-
-def _sweep_worker(args):
-    """One sweep row and the warnings its point raised, in order."""
-    config, parameter, value = args
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        row = sweep_point(config, parameter, value)
-    return row, [w.message for w in caught]
+        try:
+            _SWEEP_ROWS[parameter](config, model, basis, parameter, value, row)
+        except Exception as exc:  # per-point failure recorded, sweep continues
+            row["error"] = f"{type(exc).__name__}: {exc}"
+    return [row[name] for name in SWEEP_COLUMNS], [w.message for w in caught]
 
 
 def _parse_range(spec: str) -> tuple[str, np.ndarray]:
     """'param start:stop:steps' -> (param, grid)."""
-    parameter, rng = spec.split(None, 1) if " " in spec else (spec, None)
-    if rng is None:
+    parts = spec.split(None, 1)
+    if len(parts) != 2:
         raise ConfigError(f"sweep spec must be 'param start:stop:steps', got {spec!r}")
+    parameter, rng = parts
     try:
         start, stop, steps = rng.split(":")
         settings = SweepSettings(parameter, float(start), float(stop), int(steps))
@@ -709,12 +699,15 @@ def cmd_sweep(
         parameter, values = config.sweep.parameter, config.sweep.grid()
     else:
         parameter, values = _parse_range(grid_spec)
-    # checks of the config alone fail the command before any point runs
+    # what every point shares is built once, before any point runs; a
+    # config or numerical error there fails the command, not every row
     if parameter == "slope":
         _check_center_site(config)
-    elif _SWEEP_ROWS[parameter] is _pair_row:
-        _check_wannier_sites(config)
-    tasks = [(config, parameter, float(v)) for v in values]
+    basis = None
+    if _SWEEP_ROWS[parameter] is _pair_row:
+        basis = _wannier_basis(config, config.measurement_lattice_depth)
+    model = config.model(boundary=config.protocol.boundary if parameter == "slope" else "periodic")
+    tasks = [(config, model, basis, parameter, float(v)) for v in values]
     if jobs > 1 and len(tasks) > 1:
         # a pool under fork starts all its workers at once
         workers = min(jobs, len(tasks))

@@ -1,6 +1,7 @@
 """Shared fixtures; expensive spectra and protocol runs are session-cached."""
 
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -53,6 +54,25 @@ def wannier_basis(u0: float, site_count: int = 25, points_per_cell: int = 64):
         spectrum = band_structure.bloch_spectrum(u0, n_k=site_count)
         _WANNIER[key] = band_structure.wannier(spectrum, points_per_cell=points_per_cell)
     return _WANNIER[key]
+
+
+@pytest.fixture
+def bloch_solves(monkeypatch) -> list:
+    """Records the ``(u0, n_k)`` of every ``band_structure.bloch_spectrum``
+    call made in this process, positional or keyword; calls made in
+    forked pool workers are not seen."""
+    solve = band_structure.bloch_spectrum
+    signature = inspect.signature(solve)
+    calls = []
+
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["u0"], bound.arguments["n_k"]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(band_structure, "bloch_spectrum", counting)
+    return calls
 
 
 def mathieu_band_edges(u0: float) -> tuple[float, float]:

@@ -172,22 +172,15 @@ class TestArtifacts:
         wannier = np.loadtxt(tmp_path / "wannier.csv", delimiter=",", skiprows=1)
         assert wannier.shape[1] == 2
 
-    def test_bands_solves_each_lattice_once(self, tmp_path, monkeypatch):
+    def test_bands_solves_each_lattice_once(self, tmp_path, monkeypatch, bloch_solves):
         # the dispersion is the 64-point spectrum the model's hopping came
         # from; only the Wannier basis needs a solve of its own, on N points
-        calls = []
-        solve = band_structure.bloch_spectrum
-
-        def counting(u0, **kwargs):
-            calls.append((u0, kwargs.get("n_k", 64)))
-            return solve(u0, **kwargs)
-
-        monkeypatch.setattr(band_structure, "bloch_spectrum", counting)
         assert cli.main(["--out", str(tmp_path), "bands"]) == 0
         monkeypatch.undo()
+        solve = band_structure.bloch_spectrum
         config = lithium_default()
         depth = config.model().lattice_depth
-        assert calls == [(depth, 64), (depth, 25)]
+        assert bloch_solves == [(depth, 64), (depth, 25)]
         with cli._one_blas_thread():
             rows = band_structure.dispersion_csv_rows(solve(depth))
             basis = band_structure.wannier(solve(depth, n_k=25), points_per_cell=config.resolution)
@@ -198,6 +191,30 @@ class TestArtifacts:
         )
         for name in ("dispersion", "wannier"):
             assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.old").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, solves",
+        [
+            (["params"], 1),
+            (["liddi-scan"], 0),
+            (["spectrum"], 1),
+            (["bands"], 2),
+            (["dist"], 2),
+            (["protocol"], 2),
+            # forked pool workers are not seen, so the sweeps run in-process
+            (["--jobs", "1", "sweep"], 2),
+            (["--jobs", "1", "sweep", "U0 3:5:3"], 5),
+            (["--jobs", "1", "sweep", "T 1e-8:1e-7:2"], 2),
+            (["--jobs", "1", "sweep", "sigma_E 1:2:3"], 1),
+            (["--jobs", "1", "sweep", "slope 0:0.04:3"], 1),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_each_lattice_solved_once(self, tmp_path, bloch_solves, argv, solves):
+        # a sweep builds its base model and measurement basis once, before
+        # any point runs; a U0 sweep adds one lattice per point
+        assert cli.main(["--out", str(tmp_path), *argv]) == 0
+        assert len(set(bloch_solves)) == len(bloch_solves) == solves
 
     def test_liddi_scan(self, tmp_path):
         run_cli("--config", str(CONFIG), "--out", str(tmp_path), "liddi-scan")
@@ -341,6 +358,17 @@ class TestArtifacts:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[1].startswith(",,ValueError")
 
+    @pytest.mark.parametrize("site_count", [25, 30, 40, 60])
+    def test_dist_peak_spacings_are_the_comb_teeth(self, tmp_path, site_count):
+        # at N = 25 adjacent maxima of the total-momentum marginal lie 7 to
+        # 166 grid steps apart; the teeth are 8 steps, 2 pi / N, apart
+        path = tmp_path / "ring.ini"
+        path.write_text(CONFIG.read_text().replace("site_count = 25", f"site_count = {site_count}"))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path), "dist"]) == 0
+        metrics = json.loads((tmp_path / "epr_metrics.json").read_text())
+        assert metrics["peak_spacing_p"] == pytest.approx(2 * np.pi / site_count, rel=1e-9)
+        assert metrics["peak_spacing_x"] == 1.0
+
     def test_dist_ring_path_matches_full_grid(self, tmp_path, monkeypatch):
         # dist builds its position joint from one cell of the ring; with
         # the states' K dropped it takes the full-grid product
@@ -418,7 +446,7 @@ def real_joints():
         zip(
             ("dist_position", "dist_momentum"),
             cli._thermal_joints(
-                config, model, spectrum,
+                model, spectrum, cli._wannier_basis(config, config.measurement_lattice_depth),
                 config.temperature_position_k, config.temperature_momentum_k,
             ),
         )
@@ -968,6 +996,44 @@ class TestExitCodes:
         assert cli.main(["--out", str(tmp_path), "--jobs", "1", "sweep", spec]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command", [["sweep", "vdd "], ["sweep", " vdd"], ["spectrum", "--sweep", "vdd "]]
+    )
+    def test_sweep_spec_without_range_is_config_error(self, tmp_path, capsys, command):
+        assert cli.main(["--out", str(tmp_path), "--jobs", "1", *command]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: sweep spec must be 'param start:stop:steps', got "
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tab_separated_sweep_spec(self, tmp_path):
+        for name, sep in (("tab", "\t"), ("space", " ")):
+            argv = ["--out", str(tmp_path / name), "--jobs", "1", "sweep", f"vdd{sep}0.5:1:2"]
+            assert cli.main(argv) == 0
+        table = (tmp_path / "tab" / "sweep.csv").read_bytes()
+        assert table == (tmp_path / "space" / "sweep.csv").read_bytes()
+        assert [(r["value"], r["error"]) for r in sweep_rows(tmp_path / "tab")] == [
+            ("0.5", ""),
+            ("1", ""),
+        ]
+
+    # the base model's Bloch solve, which every point shares, fails before
+    # any point runs (U0 ~ 1690 E_rec, as in test_unconverged_bands_exit_code)
+    @pytest.mark.parametrize("spec", ["vdd 0.5:1:2", "U0 3:4:2", "sigma_E 1:2:2", "slope 0:0.04:2"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_shared_input_failure_fails_the_sweep(self, tmp_path, capsys, spec, jobs):
+        path = tmp_path / "deep.ini"
+        path.write_text(
+            CONFIG.read_text().replace(
+                "intensity_lattice_w_per_m2 = 1860.0",
+                "intensity_lattice_w_per_m2 = 800000.0",
+            )
+        )
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out), "--jobs", jobs, "sweep", spec]) == 3
+        assert capsys.readouterr().err.startswith("numerical error (ConvergenceError)")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("resolution", ["8", "0", "-3"])
     def test_resolution_below_minimum_is_config_error(self, tmp_path, resolution):

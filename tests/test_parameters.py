@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.constants
 
-from latticeepr import band_structure, constants, parameters
+from latticeepr import constants, parameters
 from latticeepr.constants import HBAR
 from latticeepr.parameters import (
     ConfigError,
@@ -213,16 +213,8 @@ class TestReport:
             HBAR / report["recoil_energy_joule"], rel=1e-12
         )
 
-    def test_one_bloch_solve(self, monkeypatch):
+    def test_one_bloch_solve(self, bloch_solves):
         # the model's hopping and the reported bandwidth come from one
         # Bloch spectrum at the lattice depth
-        solve = band_structure.bloch_spectrum
-        depths = []
-
-        def counted(u0, *args, **kwargs):
-            depths.append(u0)
-            return solve(u0, *args, **kwargs)
-
-        monkeypatch.setattr(band_structure, "bloch_spectrum", counted)
         parameters.parameter_report(lithium_default())
-        assert len(depths) == 1
+        assert len(bloch_solves) == 1
