@@ -108,16 +108,12 @@ def plot_stride(points: int) -> int:
 
 def decimate_joint(joint: distributions.JointDistribution) -> distributions.JointDistribution:
     """Stride the grid down to at most 320 points per axis for plotting
-    (metrics stay on the full grid).  The density is a strided view."""
+    (metrics stay on the full grid).  A stored density is a strided view;
+    a factored one keeps its factors and builds only the rows it shows."""
     stride = plot_stride(joint.axis1.size)
     if stride == 1:
         return joint
-    return distributions.JointDistribution(
-        joint.axis1[::stride],
-        joint.axis2[::stride],
-        joint.density[::stride, ::stride],
-        joint.kind,
-    )
+    return joint.decimated(stride)
 
 
 # The "%19.11e" text of a float, built with numpy: "  d.ddddddddddde+XX",
@@ -227,7 +223,7 @@ def write_matrix(path: Path, joint: distributions.JointDistribution, comment: st
             f"# {comment}\n# columns: axis1 [{unit}], axis2 [{unit}], probability density\n".encode()
         )
         for start in range(0, joint.axis1.size, rows):
-            density = joint.density[start : start + rows]
+            density = joint.rows(start, start + rows)
             n = density.shape[0]
             lines[:n, :, :w1] = x1_text[start : start + n, None]
             _format_e11(density, lines[:n, :, value])
@@ -243,11 +239,13 @@ def write_manifest(
     out_dir: Path,
     command: str,
     config: ExperimentConfig,
-    outputs: list[str],
+    entries: dict,
     t0: float,
     messages: list[str],
 ) -> None:
-    """run_manifest.json; ``messages`` are the run's warnings, first seen first."""
+    """run_manifest.json; ``entries`` are what the command returned (its
+    ``outputs`` and any figures of the run), ``messages`` the run's
+    warnings, first seen first."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
@@ -261,7 +259,8 @@ def write_manifest(
         "config_sha256": _config_hash(config),
         "effective_config": config.to_dict(),
         "wall_time_s": time.time() - t0,
-        "outputs": sorted(outputs),
+        "outputs": sorted(entries["outputs"]),
+        **{key: value for key, value in entries.items() if key != "outputs"},
         "warnings": messages,
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -356,16 +355,16 @@ def _thermal_joints(
 # Subcommands
 
 
-def cmd_params(config: ExperimentConfig, out: Path) -> list[str]:
+def cmd_params(config: ExperimentConfig, out: Path) -> dict:
     report = parameter_report(config)
     path = out / "params.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True))
     for key in ("lattice_depth_erec", "hop_erec", "vdd_erec", "diatom_hop_erec"):
         print(f"{key} = {report[key]:.6g}")
-    return [path.name]
+    return {"outputs": [path.name]}
 
 
-def cmd_bands(config: ExperimentConfig, out: Path) -> list[str]:
+def cmd_bands(config: ExperimentConfig, out: Path) -> dict:
     # the dispersion is the Bloch spectrum the model's hopping came from
     model, _, spectrum = _model_and_bands(config.physical, config.site_count, config.boundary)
     basis = _wannier_basis(config, model.lattice_depth)
@@ -379,10 +378,10 @@ def cmd_bands(config: ExperimentConfig, out: Path) -> list[str]:
         ["x_a", "chi"],
         zip(basis.centered_grid(), basis.wannier_0),
     )
-    return ["dispersion.csv", "wannier.csv"]
+    return {"outputs": ["dispersion.csv", "wannier.csv"]}
 
 
-def cmd_liddi_scan(config: ExperimentConfig, out: Path) -> list[str]:
+def cmd_liddi_scan(config: ExperimentConfig, out: Path) -> dict:
     phys = config.physical
     erec = recoil_energy(phys.atom_mass, phys.lambda_lattice)
     offsets, energies = liddi.vdd_map(
@@ -393,12 +392,12 @@ def cmd_liddi_scan(config: ExperimentConfig, out: Path) -> list[str]:
         ["site_offset", "energy_joule", "energy_erec"],
         zip(offsets, energies, energies / erec),
     )
-    return ["liddi_scan.csv"]
+    return {"outputs": ["liddi_scan.csv"]}
 
 
 def cmd_spectrum(
     config: ExperimentConfig, out: Path, sweep_spec: str | None = None
-) -> list[str]:
+) -> dict:
     """Eigenvalue table; with --sweep, every branch versus the swept
     coupling (the split-off pair band emerges as the interaction grows)."""
     model = config.model()
@@ -422,10 +421,10 @@ def cmd_spectrum(
         ["parameter", "value", "index", "energy_erec"],
         rows,
     )
-    return ["spectrum.csv"]
+    return {"outputs": ["spectrum.csv"]}
 
 
-def cmd_dist(config: ExperimentConfig, out: Path) -> list[str]:
+def cmd_dist(config: ExperimentConfig, out: Path) -> dict:
     model = config.model(boundary="periodic")
     spectrum = two_atom.diagonalize(two_atom.build(model))
     basis = _wannier_basis(config, config.measurement_lattice_depth)
@@ -474,7 +473,8 @@ def cmd_dist(config: ExperimentConfig, out: Path) -> list[str]:
         f"dx_minus = {metrics.dx_minus:.4g} a, dp_plus = {metrics.dp_plus:.4g} hbar/a, "
         f"s = {metrics.s:.4g}"
     )
-    return outputs
+    # the share of the momentum density on the grid, from the joint's factors
+    return {"outputs": outputs, "momentum_mass": mom.mass}
 
 
 def _protocol_trace(
@@ -509,7 +509,7 @@ def _check_center_site(config: ExperimentConfig) -> None:
         )
 
 
-def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
+def cmd_protocol(config: ExperimentConfig, out: Path) -> dict:
     _check_center_site(config)
     prot = config.protocol
     model = config.model(boundary=prot.boundary)
@@ -574,7 +574,7 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> list[str]:
         f"final ratio = {trace.diagnostics[-1].displacement_ratio:.3g}, "
         f"retained = {retained:.3g}, ejected = {summary['ejected']}"
     )
-    return outputs
+    return {"outputs": outputs}
 
 
 def _vary_model(
@@ -694,7 +694,7 @@ def _parse_range(spec: str) -> tuple[str, np.ndarray]:
 
 def cmd_sweep(
     config: ExperimentConfig, out: Path, grid_spec: str | None, jobs: int
-) -> list[str]:
+) -> dict:
     if grid_spec is None:
         parameter, values = config.sweep.parameter, config.sweep.grid()
     else:
@@ -722,7 +722,7 @@ def cmd_sweep(
         for message in messages:
             warnings.warn(message)
     write_csv(out / "sweep.csv", SWEEP_COLUMNS, [row for row, _ in results])
-    return ["sweep.csv"]
+    return {"outputs": ["sweep.csv"]}
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command writes its artifacts into ``out`` and returns its manifest
+# entries: ``outputs``, the files it wrote, and any figure of the run
+# (``dist``: ``momentum_mass``).
 COMMANDS = {
     "params": cmd_params,
     "bands": cmd_bands,
@@ -816,15 +819,15 @@ def _run(args: argparse.Namespace) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if args.command == "sweep":
-                outputs = cmd_sweep(config, out, args.grid, args.jobs)
+                entries = cmd_sweep(config, out, args.grid, args.jobs)
             elif args.command == "spectrum":
-                outputs = cmd_spectrum(config, out, args.sweep)
+                entries = cmd_spectrum(config, out, args.sweep)
             else:
-                outputs = COMMANDS[args.command](config, out)
+                entries = COMMANDS[args.command](config, out)
         messages = list(dict.fromkeys(str(w.message) for w in caught))
         for message in messages:
             print(f"warning: {message}", file=sys.stderr)
-        write_manifest(out, args.command, config, outputs, t0, messages)
+        write_manifest(out, args.command, config, entries, t0, messages)
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -133,6 +133,54 @@ def write_matrix_oracle(path, joint, comment) -> None:
             f.write("\n\n")
 
 
+def gathered_momentum_density(states, weights, basis, grid=None) -> np.ndarray:
+    """The thermal momentum density as one n_p x n_p array: the M x M
+    weighted FFT power gathered onto the grid and multiplied by the
+    envelope, (P[k_i, k_j] env_i) env_j (the reference for the factored
+    ``thermal_momentum_joint``)."""
+    p = distributions.default_momentum_grid(basis) if grid is None else np.asarray(grid, float)
+    k, m = band_structure.fourier_indices(p, states[0].site_count)
+    k %= m
+    power = np.zeros((m, m))
+    for state, weight in zip(states, weights):
+        structure = np.fft.fft2(state.amplitudes, s=(m, m))
+        power += weight * (structure.real**2 + structure.imag**2)
+    envelope = np.abs(basis.momentum_transform(p)) ** 2
+    density = power[np.ix_(k, k)]
+    density *= envelope[:, None]
+    density *= envelope[None, :]
+    return density
+
+
+def tiled_ring_position_density(states, weights, basis) -> np.ndarray:
+    """The thermal position density of ring eigenstates as one G x G
+    array: the ``ppc x G`` strip of cell 0, rolled by b cells into row
+    block b (the reference for the strip-keeping
+    ``thermal_position_joint``)."""
+    ppc, site_matrix = basis.points_per_cell, basis.site_matrix()
+    size = site_matrix.shape[1]
+    strip = np.zeros((ppc, size))
+    for state, weight in zip(states, weights):
+        strip += weight * np.abs(site_matrix[:, :ppc].T @ state.amplitudes @ site_matrix) ** 2
+    density = np.empty((size, size))
+    for shift in range(0, size, ppc):
+        cell = density[shift : shift + ppc]
+        cell[:, shift:] = strip[:, : size - shift]
+        cell[:, :shift] = strip[:, size - shift :]
+    return density
+
+
+def diagonal_sums(density: np.ndarray, sign: int) -> np.ndarray:
+    """Row i of ``density`` added to the bins i - j + n - 1 (``sign``
+    -1) or i + j (``sign`` +1), row after row: the difference and sum
+    marginals before the cell side multiplies them."""
+    n = density.shape[0]
+    sums = np.zeros(2 * n - 1)
+    for i, row in enumerate(density[:, ::-1] if sign < 0 else density):
+        sums[i : i + n] += row
+    return sums
+
+
 @pytest.fixture(scope="session")
 def wannier393():
     return wannier_basis(3.93)

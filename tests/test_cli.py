@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -395,6 +396,32 @@ class TestArtifacts:
         for key in full:
             assert ring[key] == pytest.approx(full[key], rel=1e-12, abs=0.0), key
 
+    def test_dist_memory_at_60_sites(self, tmp_path):
+        # the full-grid joints, a 3,363^2 momentum array and a 1,920^2
+        # position array, took dist's traced peak to 154 MB at N = 60; the
+        # joints now keep their factors and are read in row blocks
+        path = tmp_path / "ring.ini"
+        path.write_text(CONFIG.read_text().replace("site_count = 25", "site_count = 60"))
+        tracemalloc.start()
+        try:
+            assert cli.main(["--config", str(path), "--out", str(tmp_path), "dist"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 154e6 / 4
+
+    def test_commands_never_build_a_whole_joint(self, tmp_path, monkeypatch):
+        def whole(joint):
+            raise AssertionError(f"whole {joint.kind} density built")
+
+        monkeypatch.setattr(distributions.JointDistribution, "density", property(whole))
+        for command, *args in (["dist"], ["protocol"], ["sweep", "vdd 0.5:1:2"]):
+            out = tmp_path / command
+            assert cli.main(["--out", str(out), "--jobs", "1", command, *args]) == 0
+        manifest = json.loads((tmp_path / "dist" / "run_manifest.json").read_text())
+        # the share of the momentum density on the default grid
+        assert 1.0 - manifest["momentum_mass"] == pytest.approx(4.395e-7, rel=1e-3)
+
     def test_snapshots_match_decimated_full_grid(self, tmp_path, monkeypatch):
         # each snapshot is the full-grid joint with write_matrix's stride
         # applied, and no joint of more than 320 points per axis is formed
@@ -466,8 +493,12 @@ def real_joints():
 
 def any_joint(axis1, axis2, density, kind):
     """A stand-in joint that may hold negative densities, which
-    JointDistribution rejects; the writers read only these four fields."""
-    return types.SimpleNamespace(axis1=axis1, axis2=axis2, density=density, kind=kind)
+    JointDistribution rejects; the writers read only the axes, the kind
+    and row blocks of the density (and no joint here is decimated)."""
+    return types.SimpleNamespace(
+        axis1=axis1, axis2=axis2, density=density, kind=kind,
+        rows=lambda start, stop: density[start:stop],
+    )
 
 
 def assert_matrix_matches_oracle(path, joint):

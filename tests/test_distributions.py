@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diagonalized, lithium_protocol, model_for, wannier_basis
+from conftest import (
+    diagonal_sums,
+    diagonalized,
+    gathered_momentum_density,
+    lithium_protocol,
+    model_for,
+    tiled_ring_position_density,
+    wannier_basis,
+)
+from latticeepr import cli
 from latticeepr import distributions as dist
 from latticeepr import two_atom as ta
 from latticeepr.constants import HBAR, KB
@@ -87,9 +96,10 @@ def full_grid_position_density(states, weights, basis) -> np.ndarray:
     )
 
 
-def lithium_ring_mixture(site_count: int):
-    """The 10 nK thermal pair-band states of the lithium ring on
-    ``site_count`` sites, their weights and the K of each one's block."""
+def lithium_ring_mixture(site_count: int, kind: str = "position"):
+    """The thermal pair-band states of the lithium ring on ``site_count``
+    sites at the temperature of the ``kind`` joint (10 nK position,
+    100 nK momentum), their weights and the K of each one's block."""
     import dataclasses
 
     from latticeepr.parameters import lithium_default
@@ -97,7 +107,10 @@ def lithium_ring_mixture(site_count: int):
     config = dataclasses.replace(lithium_default(), site_count=site_count)
     model = config.model(boundary="periodic")
     spectrum = diagonalized(model.hop, model.vdd, site_count)
-    thermal = ta.thermal_state(spectrum, config.temperature_position_k, model.recoil_energy)
+    temperature = (
+        config.temperature_position_k if kind == "position" else config.temperature_momentum_k
+    )
+    thermal = ta.thermal_state(spectrum, temperature, model.recoil_energy)
     blocks = spectrum.order[thermal.indices] // site_count
     return thermal.states(spectrum), thermal.weights, spectrum.quasimomenta[blocks]
 
@@ -189,6 +202,80 @@ class TestRingPositionJoint:
         assert len(calls) == len(states)
         want = full_grid_position_density(states, weights, basis)[::3, ::3]
         assert np.max(np.abs(joint.density - want)) <= 1e-14 * np.max(want)
+
+
+def assert_reads_like_array(joint, oracle) -> None:
+    """Every consumer of ``joint`` gives, bit for bit, what it gave when
+    the joint held the ``oracle`` array (the old full-grid expressions on
+    that array); ``mass`` agrees to a relative 1e-13."""
+    n = joint.axis1.size
+    step = joint.axis1[1] - joint.axis1[0]
+    assert np.array_equal(dist.difference_marginal(joint).density, diagonal_sums(oracle, -1) * step)
+    assert np.array_equal(dist.sum_marginal(joint).density, diagonal_sums(oracle, +1) * step)
+    assert np.array_equal(dist.axis_marginal(joint, 1).density, oracle.sum(axis=1) * step)
+    assert np.array_equal(dist.axis_marginal(joint, 2).density, oracle.sum(axis=0) * step)
+    middle = n // 2
+    bin_width = 4.5 * step
+    inside = np.abs(joint.axis1 - joint.axis1[middle]) <= bin_width / 2.0
+    for which, lines in ((1, oracle), (2, oracle.T)):
+        for idx in (n // 3 + 1, middle, int(np.argmin(np.abs(joint.axis1 - np.pi / 2)))):
+            line = lines[idx].copy()
+            got = dist.conditional(joint, joint.axis1[idx], which_atom=which)
+            assert np.array_equal(got.density, line / (np.sum(line) * step)), (which, idx)
+        binned = oracle[inside].sum(axis=0) if which == 1 else oracle[:, inside].sum(axis=1)
+        got = dist.conditional(joint, joint.axis1[middle], which_atom=which, bin_width=bin_width)
+        assert np.array_equal(got.density, binned / (np.sum(binned) * step)), which
+    stride = cli.plot_stride(n)
+    assert np.array_equal(cli.decimate_joint(joint).density, oracle[::stride, ::stride])
+    assert joint.mass == pytest.approx(np.sum(oracle) * joint.cell_area, rel=1e-13)
+    assert np.array_equal(joint.density, oracle)
+
+
+class TestStreamedJoints:
+    """The ring's position joint keeps its one-cell strip and the momentum
+    joint its FFT power and envelope; read in row blocks, they give the
+    consumers the numbers the full-grid arrays gave."""
+
+    @pytest.mark.parametrize("n", [25, 30, 40])
+    def test_lithium_joints_match_full_grid(self, n):
+        basis = wannier_basis(13.4, site_count=n, points_per_cell=32)
+        states, weights, _ = lithium_ring_mixture(n)
+        joint = dist.thermal_position_joint(states, weights, basis)
+        assert isinstance(joint._rows, dist._RingRows)
+        assert_reads_like_array(joint, tiled_ring_position_density(states, weights, basis))
+
+        states, weights, _ = lithium_ring_mixture(n, "momentum")
+        joint = dist.thermal_momentum_joint(states, weights, basis)
+        assert joint._rows.power.shape == (8 * n, 8 * n)
+        assert_reads_like_array(joint, gathered_momentum_density(states, weights, basis))
+
+    def test_wrapped_grid_matches_full_grid(self, wannier393):
+        # a grid of 2M + 3 points from -1.3 periods wraps past the M x M
+        # power twice, and its 323 points are written at stride 2
+        n, m = 10, 160
+        rng = np.random.default_rng(20)
+        states = []
+        for _ in range(3):
+            amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            states.append(ta.TwoAtomState(amp / np.linalg.norm(amp)))
+        weights = rng.random(3)
+        weights /= weights.sum()
+        first = int(np.floor(-1.3 * m))
+        grid = 2 * np.pi / m * np.arange(first, first + 2 * m + 3)
+        joint = dist.thermal_momentum_joint(states, weights, wannier393, grid=grid)
+        assert cli.plot_stride(grid.size) == 2
+        oracle = gathered_momentum_density(states, weights, wannier393, grid=grid)
+        assert_reads_like_array(joint, oracle)
+
+    def test_factors_checked_for_sign(self):
+        power = np.ones((4, 4))
+        power[1, 2] = -1e-12
+        rows = dist._MomentumRows(power, np.arange(4), np.ones(4))
+        axis = np.arange(4.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            dist.JointDistribution(axis, axis.copy(), rows, "momentum")
+        with pytest.raises(ValueError, match="non-negative"):
+            dist.JointDistribution(axis, axis.copy(), dist._RingRows(-np.ones((2, 4))), "position")
 
 
 class TestCombinedMarginal:
