@@ -216,8 +216,9 @@ class ProtocolSettings:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         if not self.snapshot_times_s:
             raise ValueError("snapshot_times_s needs at least one time")
-        if list(self.snapshot_times_s) != sorted(self.snapshot_times_s):
-            raise ValueError("snapshot times must be non-decreasing")
+        times = list(self.snapshot_times_s)
+        if times != sorted(times) or times[0] < 0:
+            raise ValueError(f"snapshot times must be non-negative and non-decreasing, got {times}")
         if self.diatom_band_width < 0:
             raise ValueError(f"diatom_band_width must be >= 0, got {self.diatom_band_width}")
 

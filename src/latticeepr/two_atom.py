@@ -5,11 +5,11 @@ flattened row-major (index = j * N + l).  Energies in E_rec, on-site band
 energy H_0 set to zero (a global offset).  The dipole-dipole interaction
 acts only when the atoms face each other, j == l.
 
-On a ring without external potential the total quasimomentum K = 2 pi m / N
-is conserved, and ``diagonalize`` solves blocks of fixed K, each N x N,
-instead of the N^2 x N^2 matrix (Valiente & Petrosyan, J. Phys. B 41,
-161002 (2008)).  H is real, so the block at -K is the one at K: only
-m = 0..N//2 are solved.
+``diagonalize`` solves a free model in symmetry blocks, never the N^2 x N^2
+matrix: on a ring one N x N block per total quasimomentum K = 2 pi m / N
+(Valiente & Petrosyan, J. Phys. B 41, 161002 (2008)), of which only
+m = 0..N//2 are solved as H is real; on an open chain the blocks of even
+and odd atom-swap parity.  A model under a potential is only propagated.
 """
 
 from __future__ import annotations
@@ -33,46 +33,31 @@ class ExternalPotential:
     """Per-site external potential added to the lattice Hamiltonian.
 
     * ``none``: free lattice.
-    * ``harmonic``: shallow well whose band-mass ground state has width
-      ``sigma_e`` (in a), centered at ``center``; acts on both atoms.
     * ``linear``: tilt of ``slope`` E_rec per site, potential decreasing
       toward larger site index; ``species`` selects which atom feels it.
     """
 
     kind: str = "none"
-    sigma_e: float = 0.0
-    center: float = 0.0
     slope: float = 0.0
     species: str = "both"
 
     def __post_init__(self):
-        if self.kind not in ("none", "harmonic", "linear"):
+        if self.kind not in ("none", "linear"):
             raise ValueError(f"unknown external potential kind {self.kind!r}")
-        if self.kind == "harmonic" and self.sigma_e <= 0:
-            raise ValueError("harmonic potential needs sigma_e > 0")
         if self.species not in ("both", "first", "second"):
             raise ValueError(f"species must be both/first/second, got {self.species!r}")
         if not np.isfinite(self.slope):
             raise ValueError("slope must be finite")
 
     @classmethod
-    def harmonic(cls, sigma_e: float, center: float) -> "ExternalPotential":
-        return cls(kind="harmonic", sigma_e=sigma_e, center=center)
-
-    @classmethod
     def linear(cls, slope: float, species: str = "both") -> "ExternalPotential":
         return cls(kind="linear", slope=slope, species=species)
 
-    def site_energies(self, site_count: int, hop: float) -> np.ndarray:
+    def site_energies(self, site_count: int) -> np.ndarray:
         """Potential energy per site, E_rec units."""
-        j = np.arange(site_count, dtype=float)
         if self.kind == "none":
             return np.zeros(site_count)
-        if self.kind == "linear":
-            return -self.slope * j
-        # harmonic well with curvature set so the band-mass ground state
-        # has width sigma_e: V(x) = |hop| (x - c)^2 / (4 sigma_e^4)
-        return abs(hop) * (j - self.center) ** 2 / (4.0 * self.sigma_e**4)
+        return -self.slope * np.arange(site_count, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -136,7 +121,7 @@ class TwoAtomHamiltonian:
     def diagonal(self) -> np.ndarray:
         """D_jl, the N x N diagonal of H in the product basis."""
         n = self.site_count
-        site_e = self.external.site_energies(n, self.hop)
+        site_e = self.external.site_energies(n)
         e1 = site_e if self.external.species in ("both", "first") else np.zeros(n)
         e2 = site_e if self.external.species in ("both", "second") else np.zeros(n)
         diagonal = np.add.outer(e1, e2)
@@ -187,18 +172,6 @@ class TwoAtomHamiltonian:
             total += a * cur
         return phase * total
 
-    def dense(self) -> np.ndarray:
-        """H as a dense N^2 x N^2 array, row-major in (j, l)."""
-        n = self.site_count
-        single = single_atom_matrix(n, self.hop, self.boundary)
-        matrix = np.zeros((n, n, n, n))
-        sites = np.arange(n)
-        matrix[:, sites, :, sites] = single  # atom 1 hops: <j l|H|j' l> = h_jj'
-        matrix[sites, :, sites, :] += single  # atom 2 hops: <j l|H|j l'> = h_ll'
-        matrix = matrix.reshape(n * n, n * n)
-        matrix[np.diag_indices(n * n)] += self.diagonal.ravel()
-        return matrix
-
     def expectation(self, state: TwoAtomState) -> float:
         return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
 
@@ -248,11 +221,9 @@ def single_atom_matrix(site_count: int, hop: float, boundary: str) -> np.ndarray
     """Tridiagonal single-band lattice Hamiltonian (H_0 = 0)."""
     m = np.zeros((site_count, site_count))
     idx = np.arange(site_count - 1)
-    m[idx, idx + 1] = hop
-    m[idx + 1, idx] = hop
+    m[idx, idx + 1] = m[idx + 1, idx] = hop
     if boundary == "periodic":
-        m[0, -1] = hop
-        m[-1, 0] = hop
+        m[0, -1] = m[-1, 0] = hop
     elif boundary != "open":
         raise ValueError(f"boundary must be open or periodic, got {boundary!r}")
     return m
@@ -266,20 +237,40 @@ def build(model: ModelParams, external: ExternalPotential | None = None) -> TwoA
             f"tight-binding model does not hold at lattice depth {model.lattice_depth:.4g} E_rec"
         )
     return TwoAtomHamiltonian(
-        site_count=model.site_count,
-        hop=model.hop,
-        vdd=model.vdd,
-        boundary=model.boundary,
-        external=external or ExternalPotential(),
+        model.site_count, model.hop, model.vdd, model.boundary, external or ExternalPotential()
     )
+
+
+def _swap_basis(site_count: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atom-swap basis of parity ``sign``: (|jl> + sign |lj>) / sqrt(2)
+    for j < l, and |jj> if ``sign`` is +1, in the order of the upper
+    triangle, row by row.  For each |jl>, the index of its basis state and
+    its amplitude there (0 for |jj> in the odd basis)."""
+    j, l = np.triu_indices(site_count, int(sign < 0))
+    pair = np.zeros((site_count, site_count), dtype=int)
+    pair[j, l] = pair[l, j] = np.arange(j.size)
+    a, b = np.indices(pair.shape)
+    return pair, np.select([a < b, a > b], [np.sqrt(0.5), sign * np.sqrt(0.5)], float(sign > 0))
+
+
+def _swap_block(hamiltonian: TwoAtomHamiltonian, sign: float) -> np.ndarray:
+    """S^T H S on the open chain's swap basis of parity ``sign``, added up
+    entry by entry: S has one entry per |jl>, its amplitude in its basis
+    state.  Atom 2's hops are atom 1's under the swap."""
+    pair, s = _swap_basis(hamiltonian.site_count, sign)
+    block = np.zeros((pair.max() + 1,) * 2)
+    np.add.at(block, (pair[:-1], pair[1:]), 2.0 * hamiltonian.hop * s[:-1] * s[1:])  # j -> j + 1
+    block += block.T
+    np.add.at(block, (pair, pair), hamiltonian.diagonal * s**2)
+    return block
 
 
 def _symmetry_blocks(
     hamiltonian: TwoAtomHamiltonian,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray | list, np.ndarray | None, np.ndarray]:
     """Diagonal blocks of H to solve, the total quasimomentum K of every
     block, and the bottom edge of each solved block's two-free-atom
-    continuum.
+    continuum; ValueError under an external potential.
 
     On a free ring c_jl = e^{iK(j+l)/2} g(l - j) / sqrt(N) gives one real
     block per K = 2 pi m / N: relative hopping t_K = 2 V_hop cos(K/2),
@@ -287,17 +278,16 @@ def _symmetry_blocks(
     from r = N - 1 to r = 0.  Its continuum starts at -2|t_K|.  Block
     N - m is block m in the gauge g(r) -> (-1)^r g(r) (t_K flips sign and
     so does the wrap's relative sign), so only m = 0..N//2 are returned.
-    Any other model is one block, the dense matrix, with K None; the free
-    open chain's continuum starts at twice the single-atom minimum,
-    -4|V_hop| cos(pi/(N+1)), and under an external potential the edge is
-    -inf (no pair band).
+    A free open chain gives its swap-even and swap-odd blocks, with K None
+    and one edge for both, -4|V_hop| cos(pi/(N+1)), twice the single-atom
+    minimum; odd states vanish on facing sites, so none binds.
     """
     n = hamiltonian.site_count
     if hamiltonian.external.kind != "none":
-        return hamiltonian.dense()[None], None, np.array([-np.inf])
+        raise ValueError("diagonalize solves free models only; propagate one under a potential")
     if hamiltonian.boundary != "periodic":
         edge = -4.0 * abs(hamiltonian.hop) * np.cos(np.pi / (n + 1))
-        return hamiltonian.dense()[None], None, np.array([edge])
+        return [_swap_block(hamiltonian, sign) for sign in (1.0, -1.0)], None, np.array([edge])
     k = 2.0 * np.pi * np.arange(n) / n
     m = np.arange(n // 2 + 1)
     relative_hop = 2.0 * hamiltonian.hop * np.cos(k[m] / 2.0)
@@ -311,7 +301,7 @@ def _symmetry_blocks(
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Sorted eigenvalues, each symmetry block's eigenvectors (see
+    """Sorted eigenvalues, the eigenvectors of each solved block (see
     ``_symmetry_blocks``) and the pair band: the sorted indices of the
     eigenvalues that lie below their own block's continuum edge.
     ``order[i]`` is the flat (block, column) index of the i-th eigenvalue,
@@ -319,7 +309,7 @@ class SpectrumResult:
     gauge g(r) -> (-1)^r g(r)."""
 
     eigenvalues: np.ndarray
-    block_vectors: np.ndarray            # (solved blocks, d, d), eigenvectors in columns
+    block_vectors: np.ndarray | tuple  # eigenvectors in columns, per solved block
     quasimomenta: np.ndarray | None
     order: np.ndarray
     site_count: int
@@ -328,9 +318,13 @@ class SpectrumResult:
     def state(self, index: int) -> TwoAtomState:
         """The ``index``-th eigenstate in the product basis."""
         n = self.site_count
-        block, column = divmod(int(self.order[index]), self.block_vectors.shape[2])
+        flat = int(self.order[index])
         if self.quasimomenta is None:
-            return TwoAtomState(self.block_vectors[block][:, column].reshape(n, n))
+            even = self.block_vectors[0].shape[1]
+            odd = int(flat >= even)
+            pair, amplitude = _swap_basis(n, -1.0 if odd else 1.0)
+            return TwoAtomState(amplitude * self.block_vectors[odd][pair, flat - odd * even])
+        block, column = divmod(flat, n)
         sites = np.arange(n)
         vector = self.block_vectors[min(block, n - block)][:, column]
         if block > n // 2:
@@ -345,10 +339,8 @@ class SpectrumResult:
     def diatom_band_edges(self) -> tuple[float, float]:
         if len(self.diatom_band) == 0:
             raise ValueError("no split-off diatom band")
-        return (
-            float(self.eigenvalues[self.diatom_band[0]]),
-            float(self.eigenvalues[self.diatom_band[-1]]),
-        )
+        band = self.eigenvalues[self.diatom_band]
+        return float(band[0]), float(band[-1])
 
     @property
     def split_gap(self) -> float:
@@ -361,18 +353,24 @@ class SpectrumResult:
 
 
 def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
-    """Full spectrum by a dense solve of each symmetry block."""
+    """Full spectrum of a free model by a dense solve of each symmetry
+    block; ValueError under an external potential."""
     blocks, quasimomenta, edges = _symmetry_blocks(hamiltonian)
-    if not np.all(np.isfinite(blocks)):
+    # the ring's blocks are one batch; the two swap blocks differ in size
+    batches = [blocks] if quasimomenta is not None else blocks
+    if not all(np.all(np.isfinite(b)) for b in batches):
         raise ValueError("Hamiltonian contains non-finite entries")
-    vals, vecs = np.linalg.eigh(blocks)
+    solved = [np.linalg.eigh(b) for b in batches]
 
     # against the whole spectrum: a block can be ~0 throughout (K = pi at V_dd = 0)
-    scale = float(np.max(np.abs(vals))) or 1.0
-    worst = float(np.max(np.abs(blocks @ vecs - vecs * vals[:, None, :])))
+    scale = max(np.abs(w).max() for w, _ in solved) or 1.0
+    worst = max(np.abs(b @ v - v * w[..., None, :]).max() for b, (w, v) in zip(batches, solved))
     if worst > 1e-8 * scale:
         raise RuntimeError(f"eigenpair residual {worst:.2e} exceeds 1e-8 * |H|")
-    if quasimomenta is not None:  # block N - m has the spectrum of block m
+    vals, vecs = solved[0] if quasimomenta is not None else zip(*solved)
+    if quasimomenta is None:  # the swap blocks share the open chain's continuum edge
+        vals = np.concatenate(vals)[None]
+    else:  # block N - m has the spectrum of block m
         m = np.arange(quasimomenta.size)
         mirror = np.minimum(m, m.size - m)
         vals, edges = vals[mirror], edges[mirror]

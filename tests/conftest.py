@@ -34,6 +34,21 @@ def model_for(hop: float, vdd: float, site_count: int = 25, boundary: str = "per
     )
 
 
+def dense(hamiltonian: two_atom.TwoAtomHamiltonian) -> np.ndarray:
+    """H as a dense N^2 x N^2 array, row-major in (j, l) (the oracle for
+    the symmetry blocks of ``two_atom.diagonalize`` and for the matrix-free
+    ``apply`` and ``propagate``)."""
+    n = hamiltonian.site_count
+    single = two_atom.single_atom_matrix(n, hamiltonian.hop, hamiltonian.boundary)
+    matrix = np.zeros((n, n, n, n))
+    sites = np.arange(n)
+    matrix[:, sites, :, sites] = single  # atom 1 hops: <j l|H|j' l> = h_jj'
+    matrix[sites, :, sites, :] += single  # atom 2 hops: <j l|H|j l'> = h_ll'
+    matrix = matrix.reshape(n * n, n * n)
+    matrix[np.diag_indices(n * n)] += hamiltonian.diagonal.ravel()
+    return matrix
+
+
 _SPECTRA: dict = {}
 
 

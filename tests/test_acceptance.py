@@ -388,12 +388,12 @@ def test_criterion_10_property_suite(lithium_model, fig7a_state, wannier393, tmp
 
     import scipy.linalg
 
-    from conftest import model_for
+    from conftest import dense, model_for
 
     checks = {}
 
     ham = ta.build(model_for(-0.0881, -0.4693))
-    matrix = ham.dense()
+    matrix = dense(ham)
     checks["hermiticity"] = np.array_equal(matrix, matrix.T)
 
     spectrum = diagonalized(-0.0881, -0.4693)
@@ -429,7 +429,7 @@ def test_criterion_10_property_suite(lithium_model, fig7a_state, wannier393, tmp
             brute[row, jp * 4 + l] += model4.hop
         for lp in ((l + 1) % 4, (l - 1) % 4):
             brute[row, j * 4 + lp] += model4.hop
-    checks["n4_brute_force"] = np.array_equal(brute, ta.build(model4).dense())
+    checks["n4_brute_force"] = np.array_equal(brute, dense(ta.build(model4)))
 
     config_path = tmp_path / "lithium.ini"
     from latticeepr.parameters import lithium_default, write_config

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fmt_oracle, write_csv_oracle, write_matrix_oracle
+from conftest import dense, fmt_oracle, write_csv_oracle, write_matrix_oracle
 from latticeepr import band_structure, cli, distributions, two_atom
 from latticeepr.constants import HBAR
-from latticeepr.parameters import ExperimentConfig, lithium_default, write_config
+from latticeepr.parameters import ExperimentConfig, lithium_default, load_config, write_config
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "lithium.ini"
 
@@ -244,6 +244,22 @@ class TestArtifacts:
         assert data.shape[0] == 41 * 41
         assert np.array_equal(data[:, 0], np.arange(41 * 41))
         assert np.all(np.diff(data[:, 1]) >= -1e-12)
+
+    def test_spectrum_open_chain(self, tmp_path):
+        # all N^2 eigenvalues of the two swap blocks, against the dense H
+        path = tmp_path / "open.ini"
+        text = CONFIG.read_text().replace("site_count = 25", "site_count = 8")
+        path.write_text(text.replace("boundary = periodic", "boundary = open"))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "spectrum"]) == 0
+        data = np.loadtxt(
+            tmp_path / "out" / "spectrum.csv", delimiter=",", skiprows=1, usecols=(2, 3)
+        )
+        model = load_config(path).model()
+        assert model.boundary == "open"
+        reference = np.linalg.eigvalsh(dense(two_atom.build(model)))
+        assert np.array_equal(data[:, 0], np.arange(64))
+        # the CSV holds 12 significant digits
+        assert np.allclose(data[:, 1], reference, rtol=1e-11, atol=1e-13)
 
     def test_spectrum_sweep_split_band_emerges(self, tmp_path):
         run_cli(
@@ -941,6 +957,11 @@ class TestExitCodes:
             ("ejection_line_site", "inf", "protocol", 2),
             ("start", "nan", "sweep", 2),
             ("snapshot_times_s", "", "protocol", 2),
+            # a snapshot before the protocol starts
+            pytest.param(
+                "snapshot_times_s", "-0.0001 0.0 0.000216", "protocol", 2,
+                id="snapshot_times_s-negative-protocol-2",
+            ),
             ("temperature_momentum_nk", "nan", "dist", 2),
             ("site_count", "2", "spectrum", 2),
             ("diatom_band_width", "-1", "protocol", 2),
