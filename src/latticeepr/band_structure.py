@@ -13,6 +13,7 @@ makes the Wannier functions even about their site centers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -237,9 +238,19 @@ class WannierBasis:
         """chi_j on the common grid (periodic translate of chi_0)."""
         return np.roll(self.wannier_0, site * self.points_per_cell)
 
+    @cached_property
     def site_matrix(self) -> np.ndarray:
-        """(N, n_grid) array of all translated Wannier functions."""
-        return np.stack([self.site_function(j) for j in range(self.site_count)])
+        """(N, n_grid) array of all translated Wannier functions, built once
+        per basis."""
+        matrix = np.stack([self.site_function(j) for j in range(self.site_count)])
+        matrix.flags.writeable = False  # cached: shared by every joint of the basis
+        return matrix
+
+    def __getstate__(self) -> dict:
+        # a pickled basis (a sweep task) leaves the site matrix to be rebuilt
+        state = dict(vars(self))
+        state.pop("site_matrix", None)
+        return state
 
     def momentum_transform(self, p) -> np.ndarray:
         """Fourier transform chi~(p) = (2 pi)^(-1/2) int chi_0(x) e^{-ipx} dx,

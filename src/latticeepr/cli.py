@@ -132,6 +132,10 @@ def decimate_joint(joint: distributions.JointDistribution) -> distributions.Join
 # side of the half-integer, so rint(m) is the correctly rounded 12-digit
 # mantissa that "%19.11e" prints.  An m >= 1e11 with m_exact < 1e11 lies
 # within 2.3e-4 of 1e11; both round to the same power of ten.
+# The mantissa d < 1e12 < 2^53 is an integer, held exactly in a float, and
+# so are floor(d / 1e8) and floor(r / 1e4) for r = d mod 1e8: the exact
+# quotient lies at least 1e-8 below the next integer, far more than its
+# rounding error, so the correctly rounded quotient never reaches it.
 _TIE_MARGIN = 1e-3
 _E_MIN = -300  # smallest decimal exponent in the table
 _POW10 = np.array([float(f"1e{k}") for k in range(_E_MIN, 309)])
@@ -144,8 +148,14 @@ def _byte_rows(texts: list[str]) -> np.ndarray:
     return np.frombuffer("".join(texts).encode(), np.uint8).reshape(len(texts), -1)
 
 
-_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
-_EXPONENTS = _byte_rows([f"e{e:+03d}" for e in range(-99, 99)])
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Rows of 4 bytes as uint32 words.  A word is only moved whole, so the
+    byte order does not matter."""
+    return rows.copy().view(np.uint32)[:, 0]
+
+
+_DIGITS = _words(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))  # "0000".."9999"
+_EXPONENTS = _words(_byte_rows([f"e{e:+03d}" for e in range(-99, 99)]))
 
 
 def _format_e11(values: np.ndarray, out: np.ndarray) -> int:
@@ -154,31 +164,47 @@ def _format_e11(values: np.ndarray, out: np.ndarray) -> int:
     values Python's % formatted."""
     a = np.abs(values)
     fast = (a >= 1e-99) & (a < 1e99)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    m = a * _POW10[11 - e - _E_MIN]
-    whole = np.floor(m)
-    frac = m - whole
-    d = whole.astype(np.int64) + (frac > 0.5)
-    fast &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (m >= 1e11) & (d < 10**12)
-    d[~fast] = 10**11
-    e[~fast] = 0
+    slow = ~fast
+    a[slow] = 1.0
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    m = a
+    m *= _POW10.take((11 - _E_MIN) - e)
+    fast &= m >= 1e11
+    d = np.rint(m)
+    m -= d
+    np.abs(m, out=m)  # distance to the nearest integer, 1/2 - |frac(m) - 1/2|
+    fast &= (m < 0.5 - _TIE_MARGIN) & (d < 1e12)
+    np.logical_not(fast, out=slow)
+    d[slow] = 1e11
+    e[slow] = 0
 
-    high, low = np.divmod(d, 10**8)
-    mid, low = np.divmod(low, 10**4)
-    # the 12 digits go to bytes 3-14; the lead digit then moves before the "."
-    out[..., 0] = ord(" ")
-    out[..., 1] = np.where(np.signbit(values), ord("-"), ord(" "))
-    out[..., 3:7] = _DIGITS[high]
-    out[..., 7:11] = _DIGITS[mid]
-    out[..., 11:15] = _DIGITS[low]
-    out[..., 2] = out[..., 3]
-    out[..., 3] = ord(".")
-    out[..., 15:] = _EXPONENTS[e + 99]
+    # words 1-3 of a 20-byte scratch take the three 4-digit groups, word 4
+    # the exponent: the 12 digits land in bytes 4-15, the text in bytes 1-19
+    words = np.empty(values.shape + (5,), np.uint32)
+    for word, scale in ((1, 1e8), (2, 1e4)):
+        group = d / scale
+        np.floor(group, out=group)
+        words[..., word] = _DIGITS.take(group.astype(np.intp))
+        group *= scale
+        d -= group
+    words[..., 3] = _DIGITS.take(d.astype(np.intp))
+    e += 99
+    words[..., 4] = _EXPONENTS.take(e)
+    text = words.view(np.uint8)
+    # the lead digit moves before the "."
+    text[..., 1] = ord(" ")
+    text[..., 2] = np.where(np.signbit(values), ord("-"), ord(" "))
+    text[..., 3] = text[..., 4]
+    text[..., 4] = ord(".")
+    # one 19-byte item per value, not 19 one-byte items
+    out.view("V19")[..., 0] = text[..., 1:].view("V19")[..., 0]
 
-    slow = np.nonzero(~fast)
-    if slow[0].size:
-        out[slow] = _byte_rows(["%19.11e" % v for v in values[slow].tolist()])
+    if not slow.any():
+        return 0
+    slow = np.nonzero(slow)
+    out[slow] = _byte_rows(["%19.11e" % v for v in values[slow].tolist()])
     return slow[0].size
 
 
@@ -227,7 +253,7 @@ def write_matrix(path: Path, joint: distributions.JointDistribution, comment: st
             n = density.shape[0]
             lines[:n, :, :w1] = x1_text[start : start + n, None]
             _format_e11(density, lines[:n, :, value])
-            f.write(block[:n].tobytes())
+            f.write(block[:n])
 
 
 def _config_hash(config: ExperimentConfig) -> str:
@@ -559,7 +585,9 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> dict:
         "retained_mass": retained,
         "diagonal_weight_final": trace.diagnostics[-1].diagonal_weight,
         # the initial c_jj = alpha_j^2, the cooled envelope squared
-        "comb_fidelity": protocol.diagonal_comb_fidelity(kept, np.diag(psi0.amplitudes).real),
+        "comb_fidelity": protocol.diagonal_comb_fidelity(
+            kept, np.diag(psi0.amplitudes).real, periodic=prot.boundary == "periodic"
+        ),
         "single_centroid_final": trace.diagnostics[-1].single_centroid,
         "ejection_line_site": prot.ejection_line_site,
         "ejected": trace.diagnostics[-1].single_centroid > prot.ejection_line_site,
@@ -574,7 +602,11 @@ def cmd_protocol(config: ExperimentConfig, out: Path) -> dict:
         f"final ratio = {trace.diagnostics[-1].displacement_ratio:.3g}, "
         f"retained = {retained:.3g}, ejected = {summary['ejected']}"
     )
-    return {"outputs": outputs}
+    return {
+        "outputs": outputs,
+        "evolve_norm_drift": summary["evolve_norm_drift"],
+        "envelope_tail_mass": summary["envelope_tail_mass"],
+    }
 
 
 def _vary_model(
@@ -765,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Each command writes its artifacts into ``out`` and returns its manifest
 # entries: ``outputs``, the files it wrote, and any figure of the run
-# (``dist``: ``momentum_mass``).
+# (``dist``: ``momentum_mass``; ``protocol``: ``evolve_norm_drift`` and
+# ``envelope_tail_mass``).
 COMMANDS = {
     "params": cmd_params,
     "bands": cmd_bands,

@@ -230,7 +230,7 @@ def thermal_position_joint(
     ppc = basis.points_per_cell
     if ppc < 16:
         raise ValueError(f"resolution below 16 points per cell: {ppc}")
-    site_matrix = basis.site_matrix()[:, ::stride]
+    site_matrix = basis.site_matrix[:, ::stride]
     grid = basis.grid[::stride]
     size = grid.size
     if not (stride == 1 and all(s.quasimomentum is not None for s in states)):

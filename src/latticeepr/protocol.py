@@ -198,13 +198,30 @@ def postselect_diatoms(
     return TwoAtomState(kept / np.sqrt(retained)), retained
 
 
-def diagonal_comb_fidelity(state: TwoAtomState, envelope: np.ndarray) -> float:
+def _displaced(values: np.ndarray, shift: int, periodic: bool) -> np.ndarray:
+    """``values`` moved ``shift`` sites along the lattice: around the ring
+    when ``periodic``, else off the open chain's end, with zeros moved in."""
+    if periodic:
+        return np.roll(values, shift)
+    moved = np.zeros_like(values)
+    if shift >= 0:
+        moved[shift:] = values[: values.size - shift]
+    else:
+        moved[:shift] = values[-shift:]
+    return moved
+
+
+def diagonal_comb_fidelity(
+    state: TwoAtomState, envelope: np.ndarray, periodic: bool = False
+) -> float:
     """Overlap of the facing-site amplitudes with a target diagonal comb.
 
     The tilt stage leaves the surviving pairs with a rigid drift and a
     uniform momentum boost; both are gauge freedoms of the preparation, so
     the fidelity is maximized over a displacement of up to 5 sites and a
     boost phase e^{i q j} before comparing against ``envelope`` (target c_jj).
+    The target wraps around the lattice only when ``periodic`` (a ring);
+    on an open chain what it moves past an end is lost.
     """
     diag = np.diag(state.amplitudes).copy()
     norm = np.linalg.norm(diag)
@@ -218,7 +235,7 @@ def diagonal_comb_fidelity(state: TwoAtomState, envelope: np.ndarray) -> float:
     boosts = np.exp(-1j * np.outer(qs, np.arange(diag.size)))
     best = 0.0
     for shift in range(-5, 6):
-        overlaps = np.abs(boosts @ (diag * np.roll(target, shift).conj()))
+        overlaps = np.abs(boosts @ (diag * _displaced(target, shift, periodic).conj()))
         best = max(best, float(np.max(overlaps)))
     return best**2
 

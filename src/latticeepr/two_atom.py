@@ -177,19 +177,19 @@ class TwoAtomHamiltonian:
 
 
 def _apply(amplitudes: np.ndarray, hop: float, diagonal: np.ndarray, periodic: bool) -> np.ndarray:
-    """h C + C h + D o C: the hop as shifted slices along each axis, with
-    the ring wrap when ``periodic``."""
-    c = amplitudes
-    out = diagonal * c
-    out[1:] += hop * c[:-1]
-    out[:-1] += hop * c[1:]
-    out[:, 1:] += hop * c[:, :-1]
-    out[:, :-1] += hop * c[:, 1:]
+    """h C + C h + D o C: the hop as shifted slices of hop * C along each
+    axis, with the ring wrap when ``periodic``."""
+    c = hop * amplitudes
+    out = diagonal * amplitudes
+    out[1:] += c[:-1]
+    out[:-1] += c[1:]
+    out[:, 1:] += c[:, :-1]
+    out[:, :-1] += c[:, 1:]
     if periodic:
-        out[0] += hop * c[-1]
-        out[-1] += hop * c[0]
-        out[:, 0] += hop * c[:, -1]
-        out[:, -1] += hop * c[:, 0]
+        out[0] += c[-1]
+        out[-1] += c[0]
+        out[:, 0] += c[:, -1]
+        out[:, -1] += c[:, 0]
     return out
 
 

@@ -172,7 +172,7 @@ def tiled_ring_position_density(states, weights, basis) -> np.ndarray:
     array: the ``ppc x G`` strip of cell 0, rolled by b cells into row
     block b (the reference for the strip-keeping
     ``thermal_position_joint``)."""
-    ppc, site_matrix = basis.points_per_cell, basis.site_matrix()
+    ppc, site_matrix = basis.points_per_cell, basis.site_matrix
     size = site_matrix.shape[1]
     strip = np.zeros((ppc, size))
     for state, weight in zip(states, weights):

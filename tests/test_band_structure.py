@@ -1,5 +1,7 @@
 """Band structure, Wannier construction and tight-binding reduction."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,25 @@ class TestWannier:
         xc = np.abs(basis.centered_grid())
         chi = np.abs(basis.wannier_0)
         assert np.max(chi[xc > 3.0]) < 1e-3 * np.max(chi)
+
+    def test_site_matrix_built_once_and_read_only(self):
+        basis = bs.wannier(bs.bloch_spectrum(3.93, n_k=16), points_per_cell=16)
+        sites = basis.site_matrix
+        assert basis.site_matrix is sites
+        assert not sites.flags.writeable
+        expected = [basis.site_function(j) for j in range(basis.site_count)]
+        assert np.array_equal(sites, np.stack(expected))
+
+    def test_pickle_leaves_the_site_matrix_behind(self):
+        # sweep workers receive the basis pickled; they rebuild the matrix
+        basis = bs.wannier(bs.bloch_spectrum(3.93, n_k=16), points_per_cell=16)
+        size = len(pickle.dumps(basis))
+        sites = basis.site_matrix
+        assert len(pickle.dumps(basis)) == size
+        restored = pickle.loads(pickle.dumps(basis))
+        assert "site_matrix" not in vars(restored)
+        assert np.array_equal(restored.site_matrix, sites)
+        assert np.array_equal(restored.wannier_0, basis.wannier_0)
 
     def test_hopping_matrix_element_matches_band_value(self, basis):
         # <chi_0|H|chi_1> via the plane-wave modes equals the Fourier hop

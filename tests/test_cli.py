@@ -292,6 +292,22 @@ class TestArtifacts:
         assert 0.0 < summary["retained_mass"] < 1.0
         assert 0.0 <= summary["evolve_norm_drift"] < 1e-12
         assert summary["envelope_tail_mass"] == pytest.approx(0.0448, abs=5e-5)
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        for key in ("evolve_norm_drift", "envelope_tail_mass"):
+            assert manifest[key] == summary[key], key
+
+    def test_protocol_builds_the_site_matrix_once(self, tmp_path, monkeypatch):
+        # the three snapshots share one basis, and so its site matrix
+        sites = []
+        site_function = band_structure.WannierBasis.site_function
+
+        def recording(basis, site):
+            sites.append(site)
+            return site_function(basis, site)
+
+        monkeypatch.setattr(band_structure.WannierBasis, "site_function", recording)
+        assert cli.main(["--out", str(tmp_path), "protocol"]) == 0
+        assert sorted(sites) == list(range(lithium_default().site_count))
 
     def test_protocol_leaves_scipy_sparse_unloaded(self, tmp_path):
         # numpy is the only runtime dependency; loading any of scipy would
@@ -541,6 +557,11 @@ ADVERSARIAL = [
     1e-99, np.nextafter(1e-99, 0.0), 9.9999999999996e98, 1e99, np.nextafter(1e99, 0.0),
 ]
 ADVERSARIAL += [-v for v in ADVERSARIAL[:24]]
+# 12-digit mantissas whose 4-digit groups sit at 0000 and 9999
+GROUP_EDGES = [
+    100000000000, 100000009999, 999999990000, 123400000000, 100010001000, 999900009999,
+]
+ADVERSARIAL += [float(m) for m in GROUP_EDGES]
 
 NEAR_TIES = st.builds(
     lambda digits, exponent, sign: sign * float(f"{digits}5e{exponent}"),
@@ -586,6 +607,37 @@ class TestMatrixWriter:
             "1.00000000000e-100",
         ):
             assert f" {written}\n" in text
+
+    def test_group_edges_at_every_exponent(self, tmp_path):
+        # the group edges, the powers of ten and their float neighbours at
+        # every exponent of the fast path [1e-99, 1e99), with both signs
+        values = []
+        for e in range(-99, 99):
+            power = float(f"1e{e}")
+            values += [float(f"{m}e{e - 11}") for m in GROUP_EDGES]
+            values += [np.nextafter(power, 0.0), np.nextafter(power, np.inf), 1.5 * power]
+        values = np.array(values + [-v for v in values]).reshape(-1, 2 * 9)
+        joint = any_joint(np.arange(values.shape[0] + 0.0), np.arange(18.0), values, "momentum")
+        assert_matrix_matches_oracle(tmp_path / "m", joint)
+        # every group edge but the power of ten itself is proven on the fast path
+        edges = values[:, [1, 2, 3, 4, 5, 10, 11, 12, 13, 14]]
+        out = np.empty(edges.shape + (cli._VALUE_WIDTH,), np.uint8)
+        assert cli._format_e11(edges, out) == 0
+
+    def test_block_memory(self, tmp_path):
+        # one block of lines and the formatter's temporaries: a copy of the
+        # block per write, or a larger block, would pass 0.75 MB
+        axis = -0.5 + 0.125 * np.arange(320)  # a protocol snapshot's axis at N = 40
+        density = np.random.default_rng(5).random((320, 320)) * 1e-3
+        joint = distributions.JointDistribution(axis, axis.copy(), density, "position")
+        cli.write_matrix(tmp_path / "warm.dat", joint, "test")
+        tracemalloc.start()
+        try:
+            cli.write_matrix(tmp_path / "m.dat", joint, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75e6
 
     def test_near_ties_match_per_value_writer(self, tmp_path):
         # 13-digit decimals ending in 5: frac(m) lies within ~1e-4 of 1/2,

@@ -89,7 +89,7 @@ class TestPositionJoint:
 def full_grid_position_density(states, weights, basis) -> np.ndarray:
     """sum_n w_n |S^T C_n S|^2 over the whole Wannier grid (S the site
     matrix): the joint position density computed without symmetry."""
-    site_matrix = basis.site_matrix()
+    site_matrix = basis.site_matrix
     return sum(
         w * np.abs(site_matrix.T @ s.amplitudes @ site_matrix) ** 2
         for s, w in zip(states, weights)

@@ -78,7 +78,44 @@ def random_state(site_count, seed):
     return ta.TwoAtomState(amp / np.linalg.norm(amp))
 
 
+def apply_per_slice(amplitudes, hop, diagonal, periodic):
+    """H C with the hop multiplied into each shifted slice (the reference
+    for ``two_atom._apply``, which multiplies C by the hop once)."""
+    c = amplitudes
+    out = diagonal * c
+    out[1:] += hop * c[:-1]
+    out[:-1] += hop * c[1:]
+    out[:, 1:] += hop * c[:, :-1]
+    out[:, :-1] += hop * c[:, 1:]
+    if periodic:
+        out[0] += hop * c[-1]
+        out[-1] += hop * c[0]
+        out[:, 0] += hop * c[:, -1]
+        out[:, -1] += hop * c[:, 0]
+    return out
+
+
 class TestMatrixFreeHamiltonian:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        site_count=st.integers(2, 12),
+        periodic=st.booleans(),
+        hop=st.one_of(st.floats(-2.0, 2.0), st.just(-1e-300)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_apply_is_bit_equal_to_per_slice_hop(self, site_count, periodic, hop, seed):
+        # the same products added in the same order: the same bits, signed
+        # zeros included (a hop of -1e-300 flushes the products to +-0)
+        rng = np.random.default_rng(seed)
+        amplitudes = random_state(site_count, seed).amplitudes
+        parts = amplitudes.view(float)
+        zeros = rng.random(parts.shape) < 0.2
+        parts[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        diagonal = rng.normal(size=(site_count, site_count))
+        got = ta._apply(amplitudes, hop, diagonal, periodic)
+        want = apply_per_slice(amplitudes, hop, diagonal, periodic)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(**MODELS, seed=st.integers(0, 2**32 - 1))
     def test_apply_matches_dense(self, site_count, boundary, hop, vdd, external, seed):
@@ -382,6 +419,31 @@ class TestPostselect:
         )
         with pytest.raises(ValueError, match="retained"):
             pr.postselect_diatoms(state, region=None, band=1)
+
+
+class TestCombFidelity:
+    @staticmethod
+    def comb(site_count, sites):
+        amplitudes = np.zeros((site_count, site_count), dtype=complex)
+        amplitudes[sites, sites] = 1.0 / np.sqrt(len(sites))
+        return ta.TwoAtomState(amplitudes)
+
+    def test_open_chain_does_not_wrap(self):
+        # the last 3 of 10 sites lie 7 sites past the first 3, beyond the
+        # largest displacement of 5; only a ring brings them within reach
+        state = self.comb(10, [7, 8, 9])
+        target = np.zeros(10)
+        target[:3] = 1.0
+        assert pr.diagonal_comb_fidelity(state, target) == pytest.approx(1 / 9)
+        assert pr.diagonal_comb_fidelity(state, target, periodic=True) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_displacement_within_reach(self, periodic):
+        state = self.comb(12, [5, 6, 7])
+        target = np.zeros(12)
+        target[:3] = 1.0
+        fidelity = pr.diagonal_comb_fidelity(state, target, periodic=periodic)
+        assert fidelity == pytest.approx(1.0)
 
 
 class TestCoolingRequirements:
