@@ -19,6 +19,7 @@ import numpy as np
 
 G = 2.0 * np.pi  # reciprocal lattice vector, 1/a
 CONVERGENCE_TOL = 1e-10  # E_rec, lowest bands under plane-wave basis doubling
+CERTIFICATE_MARGIN = 0.9  # Sturm shifts at +-0.9 CONVERGENCE_TOL, rounding kept inside the rest
 MIN_K_POINTS = 8  # smallest quasimomentum grid, hence ring, for the Wannier basis
 
 
@@ -39,17 +40,59 @@ def quasimomentum_grid(n_k: int) -> np.ndarray:
     return G / n_k * (np.arange(n_k) - n_k // 2)
 
 
+def _kinetic(ks: np.ndarray, n_planewaves: int) -> np.ndarray:
+    """Kinetic terms ((k + nG)/pi)^2, n = -P//2 .. P//2, at every k of
+    ``ks``: (n_k, P)."""
+    m = n_planewaves // 2
+    return ((ks[:, None] + G * np.arange(-m, m + 1)) / np.pi) ** 2
+
+
 def _pendulum_matrices(u0: float, ks: np.ndarray, n_planewaves: int) -> np.ndarray:
     """Plane-wave Hamiltonians at every k of ``ks``, stacked (n_k, P, P):
-    kinetic terms ((k + nG)/pi)^2 on the diagonal, -U0/4 on the
-    off-diagonals."""
-    m = n_planewaves // 2
-    n = np.arange(-m, m + 1)
+    kinetic terms on the diagonal, -U0/4 on the off-diagonals."""
     i = np.arange(n_planewaves)
     stack = np.zeros((ks.size, n_planewaves, n_planewaves))
-    stack[:, i, i] = ((ks[:, None] + G * n) / np.pi) ** 2
+    stack[:, i, i] = _kinetic(ks, n_planewaves)
     stack[:, i[1:], i[:-1]] = stack[:, i[:-1], i[1:]] = -u0 / 4.0
     return stack
+
+
+def _sturm_certified(u0: float, ks: np.ndarray, n_planewaves: int, bands: np.ndarray) -> bool:
+    """True when, at every k of ``ks``, the b-th eigenvalue of the
+    ``n_planewaves``-wave matrix lies within ``CERTIFICATE_MARGIN *
+    CONVERGENCE_TOL`` of ``bands[:, b]``, for each column b of ``bands``.
+
+    The number of eigenvalues below a shift s is the number of negative
+    pivots of the LDL^T factorization of H - s, which for a tridiagonal H
+    is the recurrence q_i = (d_i - s) - e^2 / q_(i-1) (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 386 (1967)).  In floating point the count
+    is exact for a matrix whose diagonal differs from d - s by at most
+    2 eps |d - s| and whose off-diagonal differs from e by at most
+    2.5 eps |e| (Demmel, Applied Numerical Linear Algebra, Lemma 5.4).
+    False, never an exception or a warning, where that rounding could
+    reach the rest of the tolerance or the recurrence leaves the finite
+    numbers (a zero pivot).
+    """
+    tau = CERTIFICATE_MARGIN * CONVERGENCE_TOL
+    n_bands = bands.shape[1]
+    shifts = np.concatenate([bands - tau, bands + tau], axis=1)  # (n_k, 2 n_bands)
+    pivots = _kinetic(ks, n_planewaves).T[:, :, None] - shifts  # (P, n_k, 2 n_bands)
+    # 2 eps |d - s| + 2 (2.5 eps |e|) <= 2 eps (max |d - s| + U0) bounds how
+    # far that rounding moves the counted eigenvalues; twice the bound must
+    # fit in what the shifts leave of the tolerance
+    rounding = 4.0 * np.finfo(float).eps * (np.max(np.abs(pivots)) + u0)
+    if not rounding < CONVERGENCE_TOL - tau:
+        return False
+    off2 = (u0 / 4.0) ** 2
+    with np.errstate(all="ignore"):
+        for i in range(1, n_planewaves):
+            pivots[i] -= off2 / pivots[i - 1]
+    if not np.all(np.isfinite(pivots)):
+        return False
+    below = np.count_nonzero(pivots < 0, axis=0)
+    b = np.arange(n_bands)
+    # at most b eigenvalues below band b - tau, at least b + 1 below band b + tau
+    return bool(np.all(below[:, :n_bands] <= b) and np.all(below[:, n_bands:] >= b + 1))
 
 
 @dataclass(frozen=True)
@@ -82,9 +125,14 @@ def bloch_spectrum(u0: float, n_planewaves: int = 33, n_k: int = 64) -> BlochSpe
     diagonal, -U0/4 on the off-diagonals.  H(-k) is H(k) with the plane
     waves reversed (time reversal), so one batched ``eigh`` solves the
     k <= 0 points; the bands at k > 0 are those at -k, and the lowest-band
-    state is the -k vector reversed.  The lowest three bands are re-solved
-    in a doubled basis and must agree to ``CONVERGENCE_TOL``.
+    state is the -k vector reversed.  The lowest three bands must agree to
+    ``CONVERGENCE_TOL`` with those of the doubled basis of 2P + 1 waves.
+    A Sturm count of the doubled matrices certifies that without solving
+    them (``_sturm_certified``); where it cannot, the doubled basis is
+    solved and the residual compared.
     """
+    if not np.isfinite(u0):
+        raise ValueError(f"lattice depth must be finite, got {u0}")
     if u0 < 0:
         raise ValueError(f"lattice depth must be non-negative, got {u0}")
     if n_planewaves % 2 == 0 or n_planewaves < 21:
@@ -96,13 +144,15 @@ def bloch_spectrum(u0: float, n_planewaves: int = 33, n_k: int = 64) -> BlochSpe
     # k <= 0 are the first n_k // 2 + 1 points; k > 0 at index i is -k at 2 (n_k // 2) - i
     half = ks <= 0
     vals, vecs = np.linalg.eigh(_pendulum_matrices(u0, ks[half], n_planewaves))
-    vals2 = np.linalg.eigvalsh(_pendulum_matrices(u0, ks[half], 2 * n_planewaves + 1))
-    worst = float(np.max(np.abs(vals[:, :3] - vals2[:, :3])))
-    if worst > CONVERGENCE_TOL:
-        raise ConvergenceError(
-            f"lowest bands not converged at n_planewaves={n_planewaves}: "
-            f"residual {worst:.3e} E_rec > {CONVERGENCE_TOL:.1e}"
-        )
+    doubled = 2 * n_planewaves + 1
+    if not _sturm_certified(u0, ks[half], doubled, vals[:, :3]):
+        vals2 = np.linalg.eigvalsh(_pendulum_matrices(u0, ks[half], doubled))
+        worst = float(np.max(np.abs(vals[:, :3] - vals2[:, :3])))
+        if worst > CONVERGENCE_TOL:
+            raise ConvergenceError(
+                f"lowest bands not converged at n_planewaves={n_planewaves}: "
+                f"residual {worst:.3e} E_rec > {CONVERGENCE_TOL:.1e}"
+            )
     i = np.arange(n_k)
     partner = np.minimum(i, 2 * (n_k // 2) - i)
     states = np.where(half[:, None], vecs[partner, :, 0], vecs[partner, ::-1, 0])

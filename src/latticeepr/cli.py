@@ -20,6 +20,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -82,12 +83,32 @@ def _cell_format(value_type: type) -> str:
     return "%.12g"
 
 
+class RowBlock(NamedTuple):
+    """Rows that share their leading cells: ``(*lead, *tail)`` for each
+    ``tail`` of ``tails``.  Every tail holds no bool and has the value
+    types of the first."""
+
+    lead: tuple
+    tails: Iterable
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """CSV of ``rows``, each value as ``_fmt`` writes it.  Rows with the
-    same value types share one %-template, filled in one % per row."""
+    same value types share one %-template, filled in one % per row.  A
+    ``RowBlock`` among the rows writes its lead cells into the template of
+    its first tail, which then fills in every tail of the block."""
     templates: dict[tuple, tuple[str, list[int]]] = {}
     lines = [",".join(header)]
     for row in rows:
+        if isinstance(row, RowBlock):
+            tails = iter(row.tails)
+            first = next(tails, None)
+            if first is not None:
+                lead = "".join(_fmt(v).replace("%", "%%") + "," for v in row.lead)
+                template = lead + ",".join(_cell_format(type(v)) for v in first)
+                lines.append(template % tuple(first))
+                lines.extend(map(template.__mod__, tails))
+            continue
         row = tuple(row)
         types = tuple(map(type, row))
         if types not in templates:
@@ -435,17 +456,15 @@ def cmd_spectrum(
                 f"spectrum sweeps support vdd or vhop, got {parameter!r}"
             )
         points = [(parameter, _vary_model(config, model, parameter, v)) for v in values]
-    rows = []
+    blocks = []
     for parameter, varied in points:
         value = varied.vdd if parameter == "vdd" else varied.hop
         spectrum = two_atom.diagonalize(two_atom.build(varied))
-        rows.extend(
-            (parameter, value, i, e) for i, e in enumerate(spectrum.eigenvalues)
-        )
+        blocks.append(RowBlock((parameter, value), enumerate(spectrum.eigenvalues.tolist())))
     write_csv(
         out / "spectrum.csv",
         ["parameter", "value", "index", "energy_erec"],
-        rows,
+        blocks,
     )
     return {"outputs": ["spectrum.csv"]}
 
@@ -500,7 +519,12 @@ def cmd_dist(config: ExperimentConfig, out: Path) -> dict:
         f"s = {metrics.s:.4g}"
     )
     # the share of the momentum density on the grid, from the joint's factors
-    return {"outputs": outputs, "momentum_mass": mom.mass}
+    return {
+        "outputs": outputs,
+        "momentum_mass": mom.mass,
+        "split_gap_erec": spectrum.split_gap,
+        "tight_binding_valid": model.tight_binding_valid,
+    }
 
 
 def _protocol_trace(

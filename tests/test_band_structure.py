@@ -1,10 +1,11 @@
 """Band structure, Wannier construction and tight-binding reduction."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mathieu_band_edges
@@ -56,6 +57,9 @@ class TestBlochSpectrum:
             bs.bloch_spectrum(3.93, n_k=4)
         with pytest.raises(ValueError):
             bs.bloch_spectrum(-1.0)
+        for depth in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                bs.bloch_spectrum(depth)
 
     def test_convergence_check_runs(self):
         # n_planewaves = 21 already converges far below the 1e-10 gate
@@ -75,6 +79,60 @@ class TestBlochSpectrum:
         residual = np.max(np.abs(vals - vals2), axis=1)
         assert np.max(residual[ks <= 0]) == pytest.approx(np.max(residual), rel=1e-6)
         assert np.max(residual) == pytest.approx(7.701e-07, rel=1e-3)
+
+
+class TestSturmCertificate:
+    """A Sturm count of the doubled basis stands in for its dense solve."""
+
+    @staticmethod
+    def certified_and_residual(depth, n_planewaves, n_k):
+        ks = bs.quasimomentum_grid(n_k)[: n_k // 2 + 1]
+        vals = np.linalg.eigh(bs._pendulum_matrices(depth, ks, n_planewaves))[0][:, :3]
+        doubled = 2 * n_planewaves + 1
+        certified = bs._sturm_certified(depth, ks, doubled, vals)
+        vals2 = np.linalg.eigvalsh(bs._pendulum_matrices(depth, ks, doubled))[:, :3]
+        return certified, float(np.max(np.abs(vals - vals2)))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        depth=st.floats(0.0, 3000.0),
+        n_planewaves=st.sampled_from(range(21, 42, 2)),
+        n_k=st.integers(8, 64),
+    )
+    # U0 = 0: bands 1 and 2 meet at k = 0, bands 0 and 1 at k = -pi
+    @example(depth=0.0, n_planewaves=33, n_k=64)
+    @example(depth=0.0, n_planewaves=21, n_k=8)
+    def test_passes_only_where_the_doubled_basis_agrees(self, depth, n_planewaves, n_k):
+        certified, residual = self.certified_and_residual(depth, n_planewaves, n_k)
+        if certified:
+            assert residual <= bs.CONVERGENCE_TOL
+        else:
+            # it fails only where the dense check fails or comes near the
+            # tolerance (the residual also rounds differently)
+            assert residual > 0.5 * bs.CERTIFICATE_MARGIN * bs.CONVERGENCE_TOL
+
+    @pytest.mark.parametrize("n_k", [8, 9, 64])
+    def test_passes_on_the_free_particle_degeneracies(self, n_k):
+        assert self.certified_and_residual(0.0, 33, n_k) == (True, 0.0)
+
+    @pytest.mark.parametrize("depth, n_k", [(3.93, 64), (3.93, 40), (13.4, 25)])
+    def test_working_points_solve_no_doubled_basis(self, monkeypatch, depth, n_k):
+        # the model lattice at N = 64 and 40, the measurement lattice at 25
+        def dense(*args, **kwargs):
+            raise AssertionError("doubled basis solved densely")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+        bs.bloch_spectrum(depth, n_k=n_k)
+
+    @pytest.mark.parametrize(
+        "depth, residual",
+        [(1000.0, "2.043e-09"), (1e6, "1.321e+04"), (1e150, "1.429e+148"), (1e300, "1.429e+298")],
+    )
+    def test_failure_falls_back_to_the_dense_residual(self, depth, residual):
+        # (U0/4)^2 overflows at 1e300; the count neither raises nor warns
+        message = f"residual {residual} E_rec > 1.0e-10"
+        with pytest.raises(bs.ConvergenceError, match=re.escape(message)):
+            bs.bloch_spectrum(depth)
 
 
 class TestTimeReversal:

@@ -391,6 +391,33 @@ class TestArtifacts:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[1].startswith(",,ValueError")
 
+    def test_csv_row_blocks_match_per_value_writer(self, tmp_path):
+        # lead cells of every type, a "%" among them, written once per block;
+        # an empty block writes nothing, plain rows mix in between
+        energies = np.linspace(-2.0, 1.0, 7).tolist()
+        blocks = [
+            ("vdd", np.float64(-0.5)), ("vhop", -0.0), ("100%", None), (True, 7), (np.nan,)
+        ]
+        rows, expected = [], []
+        for lead in blocks:
+            rows.append(cli.RowBlock(lead, enumerate(energies)))
+            expected += [(*lead, i, e) for i, e in enumerate(energies)]
+            rows.append(("x", 1.5, 2, None))
+            expected.append(("x", 1.5, 2, None))
+        rows.append(cli.RowBlock(("vdd", 1.0), iter([])))
+        cli.write_csv(tmp_path / "new.csv", ["a", "b", "c", "d"], rows)
+        write_csv_oracle(tmp_path / "old.csv", ["a", "b", "c", "d"], expected)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert "100%,,0,-2\n" in (tmp_path / "new.csv").read_text()
+
+    def test_dist_manifest_reports_the_pair_gap_and_tight_binding(self, tmp_path, lithium_config):
+        assert cli.main(["--out", str(tmp_path), "dist"]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        model = lithium_config.model(boundary="periodic")
+        spectrum = two_atom.diagonalize(two_atom.build(model))
+        assert manifest["split_gap_erec"] == spectrum.split_gap > 0
+        assert manifest["tight_binding_valid"] is model.tight_binding_valid is True
+
     @pytest.mark.parametrize("site_count", [25, 30, 40, 60])
     def test_dist_peak_spacings_are_the_comb_teeth(self, tmp_path, site_count):
         # at N = 25 adjacent maxima of the total-momentum marginal lie 7 to
@@ -735,6 +762,20 @@ class TestSweep:
         shallow, deep = sweep_rows(tmp_path)
         assert "tight-binding" in shallow["error"] and shallow["s"] == ""
         assert deep["error"] == "" and float(deep["s"]) > 0
+
+    @pytest.mark.parametrize(
+        "depth, residual", [("1e300", "1.429e+298"), ("1e150", "1.429e+148"), ("1e6", "1.321e+04")]
+    )
+    def test_extreme_depth_row_reads_the_dense_residual(self, tmp_path, depth, residual):
+        # past (U0/4)^2's float range the band check still reports the
+        # doubled basis's residual, and raises and warns nothing else
+        argv = ["--config", str(CONFIG), "--out", str(tmp_path), "--jobs", "1"]
+        assert cli.main([*argv, "sweep", f"U0 {depth}:{depth}:1"]) == 0
+        (row,) = sweep_rows(tmp_path)
+        assert row["error"] == (
+            "ConvergenceError: lowest bands not converged at n_planewaves=33: "
+            f"residual {residual} E_rec > 1.0e-10"
+        )
 
     def test_point_warnings_reach_manifest(self, tmp_path, capsys):
         # both points clip the protocol envelope; the message is listed once
