@@ -85,8 +85,8 @@ def _cell_format(value_type: type) -> str:
 
 class RowBlock(NamedTuple):
     """Rows that share their leading cells: ``(*lead, *tail)`` for each
-    ``tail`` of ``tails``.  Every tail holds no bool and has the value
-    types of the first."""
+    ``tail`` of ``tails``.  The tails are tuples of the value types of the
+    first, none of them bool."""
 
     lead: tuple
     tails: Iterable
@@ -101,12 +101,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         if isinstance(row, RowBlock):
-            tails = iter(row.tails)
-            first = next(tails, None)
-            if first is not None:
+            tails = list(row.tails)
+            if tails:
                 lead = "".join(_fmt(v).replace("%", "%%") + "," for v in row.lead)
-                template = lead + ",".join(_cell_format(type(v)) for v in first)
-                lines.append(template % tuple(first))
+                template = lead + ",".join(_cell_format(type(v)) for v in tails[0])
                 lines.extend(map(template.__mod__, tails))
             continue
         row = tuple(row)

@@ -767,8 +767,8 @@ class TestSweep:
         "depth, residual", [("1e300", "1.429e+298"), ("1e150", "1.429e+148"), ("1e6", "1.321e+04")]
     )
     def test_extreme_depth_row_reads_the_dense_residual(self, tmp_path, depth, residual):
-        # past (U0/4)^2's float range the band check still reports the
-        # doubled basis's residual, and raises and warns nothing else
+        # up to and past the float range of (U0/4)^2 (1e300), the row reads
+        # the doubled basis's residual, and the band check warns nothing
         argv = ["--config", str(CONFIG), "--out", str(tmp_path), "--jobs", "1"]
         assert cli.main([*argv, "sweep", f"U0 {depth}:{depth}:1"]) == 0
         (row,) = sweep_rows(tmp_path)
@@ -776,6 +776,7 @@ class TestSweep:
             "ConvergenceError: lowest bands not converged at n_planewaves=33: "
             f"residual {residual} E_rec > 1.0e-10"
         )
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["warnings"] == []
 
     def test_point_warnings_reach_manifest(self, tmp_path, capsys):
         # both points clip the protocol envelope; the message is listed once
