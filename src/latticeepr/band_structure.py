@@ -66,20 +66,20 @@ def _sturm_certified(u0: float, ks: np.ndarray, n_planewaves: int, bands: np.nda
     pivots of the LDL^T factorization of H - s, which for a tridiagonal H
     is the recurrence q_i = (d_i - s) - e^2 / q_(i-1) (Barth, Martin &
     Wilkinson, Numer. Math. 9, 386 (1967)).  In floating point the count
-    is exact for a matrix whose diagonal differs from d - s by at most
-    2 eps |d - s| and whose off-diagonal differs from e by at most
-    2.5 eps |e| (Demmel, Applied Numerical Linear Algebra, Lemma 5.4).
-    False, never an exception or a warning, where that rounding could
-    reach the rest of the tolerance or the recurrence leaves the finite
-    numbers (a zero pivot).
+    is exact for a matrix with the same diagonal and an off-diagonal
+    within 2.5 eps |e| of e (Demmel, Applied Numerical Linear Algebra,
+    Lemma 5.4), 3 eps with the rounding of e^2.  False, never an exception
+    or a warning, where rounding could reach the rest of the tolerance or
+    the recurrence leaves the finite numbers (a zero pivot).
     """
     tau = CERTIFICATE_MARGIN * CONVERGENCE_TOL
     n_bands = bands.shape[1]
     shifts = np.concatenate([bands - tau, bands + tau], axis=1)  # (n_k, 2 n_bands)
     pivots = _kinetic(ks, n_planewaves).T[:, :, None] - shifts  # (P, n_k, 2 n_bands)
-    # 2 eps |d - s| + 2 (2.5 eps |e|) <= 2 eps (max |d - s| + U0) bounds how
-    # far that rounding moves the counted eigenvalues; twice the bound must
-    # fit in what the shifts leave of the tolerance
+    # rounding moves the counted eigenvalues by at most 1.5 eps U0 (twice
+    # 3 eps |e|) and eps |s| (the shifts), |s| <= max |d - s| as d >= 0 and
+    # s lies below the middle of the diagonal's range; twice that must fit
+    # in what the shifts leave of the tolerance
     rounding = 4.0 * np.finfo(float).eps * (np.max(np.abs(pivots)) + u0)
     if not rounding < CONVERGENCE_TOL - tau:
         return False
