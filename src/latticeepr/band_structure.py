@@ -13,9 +13,9 @@ makes the Wannier functions even about their site centers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 G = 2.0 * np.pi  # reciprocal lattice vector, 1/a
 CONVERGENCE_TOL = 1e-10  # E_rec, lowest bands under plane-wave basis doubling
@@ -221,18 +221,6 @@ def effective_mass(bandwidth: float, lattice_constant: float = 1.0, hbar: float 
     return 2.0 * hbar**2 / (lattice_constant**2 * bandwidth)
 
 
-def curvature_mass(spectrum: BlochSpectrum, hbar: float = 1.0) -> float:
-    """hbar^2 / (d^2E/dk^2) at the bottom of the computed lowest band."""
-    ks = spectrum.quasimomenta
-    band = spectrum.lowest_band()
-    i0 = int(np.argmin(np.abs(ks)))
-    if not np.isclose(ks[i0], 0.0):
-        raise ValueError("k = 0 not on the quasimomentum grid")
-    dk = ks[1] - ks[0]
-    d2 = (band[(i0 + 1) % ks.size] - 2.0 * band[i0] + band[i0 - 1]) / dk**2
-    return hbar**2 / d2
-
-
 def fourier_indices(p: np.ndarray, n_sites: int = 1) -> tuple[np.ndarray, int]:
     """Integers k with p = k dp on the Fourier grid of spacing
     dp = 2 pi / M, and M.  ValueError unless ``p`` is uniform, its spacing
@@ -288,19 +276,14 @@ class WannierBasis:
         """chi_j on the common grid (periodic translate of chi_0)."""
         return np.roll(self.wannier_0, site * self.points_per_cell)
 
-    @cached_property
-    def site_matrix(self) -> np.ndarray:
-        """(N, n_grid) array of all translated Wannier functions, built once
-        per basis."""
-        matrix = np.stack([self.site_function(j) for j in range(self.site_count)])
-        matrix.flags.writeable = False  # cached: shared by every joint of the basis
-        return matrix
-
-    def __getstate__(self) -> dict:
-        # a pickled basis (a sweep task) leaves the site matrix to be rebuilt
-        state = dict(vars(self))
-        state.pop("site_matrix", None)
-        return state
+    def site_matrix(self, stride: int = 1) -> np.ndarray:
+        """(N, n_grid / stride) array of the translated Wannier functions on
+        every ``stride``-th grid point: row j is ``site_function(j)[::stride]``."""
+        size = self.wannier_0.size
+        # window r of chi_0 twice over is chi_0 moved by size - r points
+        windows = sliding_window_view(np.concatenate([self.wannier_0, self.wannier_0]), size)
+        starts = (size - self.points_per_cell * np.arange(self.site_count)) % size
+        return windows[:, ::stride][starts]
 
     def momentum_transform(self, p) -> np.ndarray:
         """Fourier transform chi~(p) = (2 pi)^(-1/2) int chi_0(x) e^{-ipx} dx,

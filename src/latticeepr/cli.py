@@ -493,7 +493,7 @@ def cmd_dist(config: ExperimentConfig, out: Path) -> dict:
     write_csv(
         out / "conditional_position.csv",
         [f"x2_a_given_x1_{center}", "density"],
-        zip(cond_x.grid, cond_x.density),
+        zip(cond_x.grid.tolist(), cond_x.density.tolist()),
     )
     outputs.append("conditional_position.csv")
 
@@ -503,7 +503,7 @@ def cmd_dist(config: ExperimentConfig, out: Path) -> dict:
     write_csv(
         out / "conditional_momentum.csv",
         ["p2_hbar_per_a", "density_conditional", "density_marginal"],
-        zip(cond_p.grid, cond_p.density, marg_p.density),
+        zip(cond_p.grid.tolist(), cond_p.density.tolist(), marg_p.density.tolist()),
     )
     outputs.append("conditional_momentum.csv")
 
@@ -662,12 +662,9 @@ def _vary_model(
 def _pair_row(config, model, basis, parameter, value, row) -> None:
     """Pair band and EPR widths of the periodic ``model`` at one sweep
     point, read out in the measurement lattice's ``basis``."""
-    model = _vary_model(config, model, parameter, value)
     t_pos, t_mom = config.temperature_position_k, config.temperature_momentum_k
     if parameter == "T":
         t_pos = t_mom = value
-    row["vhop_erec"] = model.hop
-    row["vdd_erec"] = model.vdd
     spectrum = two_atom.diagonalize(two_atom.build(model))
     if len(spectrum.diatom_band) > 0:
         lo, hi = spectrum.diatom_band_edges
@@ -684,8 +681,6 @@ def _pair_row(config, model, basis, parameter, value, row) -> None:
 def _sigma_e_row(config, model, basis, parameter, value, row) -> None:
     """Thermal estimate of s for a cooled envelope of width ``value`` (a)."""
     sigma = band_structure.gaussian_sigma(config.measurement_lattice_depth)
-    row["vhop_erec"] = model.hop
-    row["vdd_erec"] = model.vdd
     dp_si = distributions.thermal_dp_plus(
         value * model.lattice_constant,
         config.temperature_momentum_k,
@@ -700,8 +695,6 @@ def _sigma_e_row(config, model, basis, parameter, value, row) -> None:
 def _slope_row(config, model, basis, parameter, value, row) -> None:
     """Final displacement ratio of the protocol run on ``model`` under
     tilt ``value``."""
-    row["vhop_erec"] = model.hop
-    row["vdd_erec"] = model.vdd
     _, trace = _protocol_trace(config, model, value, [config.protocol.snapshot_times_s[-1]])
     row["displacement_ratio"] = trace.diagnostics[-1].displacement_ratio
 
@@ -717,8 +710,9 @@ def _sweep_worker(args) -> tuple[list, list]:
     """One sweep row and the warnings its point raised, in order.  ``args``
     are the config, what every point shares (the base model, and the
     measurement lattice's Wannier basis or None outside the pair sweeps),
-    the parameter and its value.  A failure is reported in the row's
-    trailing error column."""
+    the parameter and its value.  The row writer gets the model varied to
+    the point, whose couplings fill the row first.  A failure is reported
+    in the row's trailing error column."""
     config, model, basis, parameter, value = args
     row: dict = {name: "" for name in SWEEP_COLUMNS}
     row["parameter"] = parameter
@@ -726,6 +720,9 @@ def _sweep_worker(args) -> tuple[list, list]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            model = _vary_model(config, model, parameter, value)
+            row["vhop_erec"] = model.hop
+            row["vdd_erec"] = model.vdd
             _SWEEP_ROWS[parameter](config, model, basis, parameter, value, row)
         except Exception as exc:  # per-point failure recorded, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"

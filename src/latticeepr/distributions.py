@@ -230,7 +230,7 @@ def thermal_position_joint(
     ppc = basis.points_per_cell
     if ppc < 16:
         raise ValueError(f"resolution below 16 points per cell: {ppc}")
-    site_matrix = basis.site_matrix[:, ::stride]
+    site_matrix = basis.site_matrix(stride)
     grid = basis.grid[::stride]
     size = grid.size
     if not (stride == 1 and all(s.quasimomentum is not None for s in states)):
@@ -311,6 +311,8 @@ def sum_marginal(joint: JointDistribution) -> Marginal:
 
 
 def _combined_marginal(joint: JointDistribution, sign: int) -> Marginal:
+    if not np.array_equal(joint.axis1, joint.axis2):
+        raise ValueError("sum and difference marginals need the same grid on both axes")
     n = joint.axis1.size
     step = joint.axis1[1] - joint.axis1[0]
     # Row i of the joint adds to the bins i - j + n - 1 (difference) or
@@ -329,13 +331,14 @@ def _combined_marginal(joint: JointDistribution, sign: int) -> Marginal:
 
 
 def axis_marginal(joint: JointDistribution, which_atom: int = 1) -> Marginal:
-    """Single-particle marginal along one axis."""
-    step = joint.axis2[1] - joint.axis2[0]
+    """Single-particle marginal along one axis: the other axis is summed
+    out with its own step."""
     if which_atom == 1:
         sums = np.concatenate([block.sum(axis=1) for _, block in joint.blocks()])
-        return Marginal(joint.axis1.copy(), sums * step)
+        return Marginal(joint.axis1.copy(), sums * (joint.axis2[1] - joint.axis2[0]))
     if which_atom == 2:
-        return Marginal(joint.axis2.copy(), _row_sum(joint, 0, joint.axis1.size) * step)
+        total = _row_sum(joint, 0, joint.axis1.size)
+        return Marginal(joint.axis2.copy(), total * (joint.axis1[1] - joint.axis1[0]))
     raise ValueError(f"which_atom must be 1 or 2, got {which_atom}")
 
 
@@ -576,47 +579,3 @@ def s_thermal_estimate(
         return prefactor
     arg = erec_joule / (np.pi**2 * sigma_e_a**2 * KB * temperature)
     return prefactor * np.tanh(arg)
-
-
-# ---------------------------------------------------------------------------
-# Analytic Gaussian reference state
-
-
-@dataclass(frozen=True)
-class GaussianEprReference:
-    """The finite-width two-particle Gaussian reference (hbar = 1).
-
-    Amplitude ~ exp(-(x1-x2)^2/4 dx_minus^2) exp(-(x1+x2)^2/4 dx_plus^2),
-    with momentum widths dp_pm = 1/dx_pm.
-    """
-
-    dx_minus: float
-    dx_plus: float
-
-    def __post_init__(self):
-        if min(self.dx_minus, self.dx_plus) <= 0:
-            raise ValueError("widths must be positive")
-
-    @property
-    def dp_minus(self) -> float:
-        return 1.0 / self.dx_minus
-
-    @property
-    def dp_plus(self) -> float:
-        return 1.0 / self.dx_plus
-
-    def position_density(self, x1, x2) -> np.ndarray:
-        x1, x2 = np.asarray(x1, float), np.asarray(x2, float)
-        norm = 1.0 / (np.pi * self.dx_minus * self.dx_plus)
-        return norm * np.exp(
-            -((x1 - x2) ** 2) / (2.0 * self.dx_minus**2)
-            - ((x1 + x2) ** 2) / (2.0 * self.dx_plus**2)
-        )
-
-    def momentum_density(self, p1, p2) -> np.ndarray:
-        p1, p2 = np.asarray(p1, float), np.asarray(p2, float)
-        norm = 1.0 / (np.pi * self.dp_minus * self.dp_plus)
-        return norm * np.exp(
-            -((p1 - p2) ** 2) / (2.0 * self.dp_minus**2)
-            - ((p1 + p2) ** 2) / (2.0 * self.dp_plus**2)
-        )

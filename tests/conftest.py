@@ -103,6 +103,19 @@ def mathieu_band_edges(u0: float) -> tuple[float, float]:
     return float(mathieu_a(0, q)), float(mathieu_b(1, q))
 
 
+def curvature_mass(spectrum: band_structure.BlochSpectrum, hbar: float = 1.0) -> float:
+    """hbar^2 / (d^2E/dk^2) at the bottom of the computed lowest band (the
+    oracle that ``band_structure.effective_mass`` is held to)."""
+    ks = spectrum.quasimomenta
+    band = spectrum.lowest_band()
+    i0 = int(np.argmin(np.abs(ks)))
+    if not np.isclose(ks[i0], 0.0):
+        raise ValueError("k = 0 not on the quasimomentum grid")
+    dk = ks[1] - ks[0]
+    d2 = (band[(i0 + 1) % ks.size] - 2.0 * band[i0] + band[i0 - 1]) / dk**2
+    return hbar**2 / d2
+
+
 def fmt_oracle(value) -> str:
     """One CSV cell as the per-value CSV writer wrote it (the reference
     for ``cli.write_csv``)."""
@@ -172,7 +185,7 @@ def tiled_ring_position_density(states, weights, basis) -> np.ndarray:
     array: the ``ppc x G`` strip of cell 0, rolled by b cells into row
     block b (the reference for the strip-keeping
     ``thermal_position_joint``)."""
-    ppc, site_matrix = basis.points_per_cell, basis.site_matrix
+    ppc, site_matrix = basis.points_per_cell, basis.site_matrix()
     size = site_matrix.shape[1]
     strip = np.zeros((ppc, size))
     for state, weight in zip(states, weights):

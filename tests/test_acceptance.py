@@ -228,7 +228,7 @@ def test_criterion_7_perturbative_width(wannier393):
     sigma = wannier393.sigma
     grid = wannier393.grid
     n = wannier393.site_count
-    sites = wannier393.site_matrix
+    sites = wannier393.site_matrix()
     at_12 = int(np.argmin(np.abs(grid - 12.0)))
     offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) % n
     offset = np.minimum(offset, n - offset)  # periodic |r|

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mathieu_band_edges
+from conftest import curvature_mass, mathieu_band_edges
 from latticeepr import band_structure as bs
 
 
@@ -202,12 +202,12 @@ class TestEffectiveMass:
         # band-curvature mass; nearest-neighbor truncation good at U0 = 10
         spectrum = bs.bloch_spectrum(10.0, n_k=64)
         from_bandwidth = bs.effective_mass(bs.hopping_exact(spectrum).bandwidth)
-        from_curvature = bs.curvature_mass(spectrum)
+        from_curvature = curvature_mass(spectrum)
         assert from_bandwidth == pytest.approx(from_curvature, rel=0.10)
 
     def test_free_mass_is_half_pi_squared(self):
         spectrum = bs.bloch_spectrum(0.0, n_k=64)
-        assert bs.curvature_mass(spectrum) == pytest.approx(np.pi**2 / 2, rel=1e-3)
+        assert curvature_mass(spectrum) == pytest.approx(np.pi**2 / 2, rel=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -244,24 +244,20 @@ class TestWannier:
         chi = np.abs(basis.wannier_0)
         assert np.max(chi[xc > 3.0]) < 1e-3 * np.max(chi)
 
-    def test_site_matrix_built_once_and_read_only(self):
-        basis = bs.wannier(bs.bloch_spectrum(3.93, n_k=16), points_per_cell=16)
-        sites = basis.site_matrix
-        assert basis.site_matrix is sites
-        assert not sites.flags.writeable
-        expected = [basis.site_function(j) for j in range(basis.site_count)]
-        assert np.array_equal(sites, np.stack(expected))
+    @pytest.mark.parametrize("site_count, ppc", [(8, 16), (9, 17), (25, 32)])
+    def test_site_matrix_is_the_strided_translates(self, site_count, ppc):
+        basis = bs.wannier(bs.bloch_spectrum(3.93, n_k=site_count), points_per_cell=ppc)
+        for stride in range(1, 6):
+            expected = [basis.site_function(j)[::stride] for j in range(basis.site_count)]
+            assert np.array_equal(basis.site_matrix(stride), np.stack(expected)), stride
 
-    def test_pickle_leaves_the_site_matrix_behind(self):
-        # sweep workers receive the basis pickled; they rebuild the matrix
+    def test_pickled_basis_builds_the_same_site_matrix(self):
+        # sweep workers receive the basis pickled
         basis = bs.wannier(bs.bloch_spectrum(3.93, n_k=16), points_per_cell=16)
-        size = len(pickle.dumps(basis))
-        sites = basis.site_matrix
-        assert len(pickle.dumps(basis)) == size
         restored = pickle.loads(pickle.dumps(basis))
-        assert "site_matrix" not in vars(restored)
-        assert np.array_equal(restored.site_matrix, sites)
         assert np.array_equal(restored.wannier_0, basis.wannier_0)
+        for stride in (1, 4):
+            assert np.array_equal(restored.site_matrix(stride), basis.site_matrix(stride))
 
     def test_hopping_matrix_element_matches_band_value(self, basis):
         # <chi_0|H|chi_1> via the plane-wave modes equals the Fourier hop

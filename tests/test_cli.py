@@ -296,19 +296,6 @@ class TestArtifacts:
         for key in ("evolve_norm_drift", "envelope_tail_mass"):
             assert manifest[key] == summary[key], key
 
-    def test_protocol_builds_the_site_matrix_once(self, tmp_path, monkeypatch):
-        # the three snapshots share one basis, and so its site matrix
-        sites = []
-        site_function = band_structure.WannierBasis.site_function
-
-        def recording(basis, site):
-            sites.append(site)
-            return site_function(basis, site)
-
-        monkeypatch.setattr(band_structure.WannierBasis, "site_function", recording)
-        assert cli.main(["--out", str(tmp_path), "protocol"]) == 0
-        assert sorted(sites) == list(range(lithium_default().site_count))
-
     def test_protocol_leaves_scipy_sparse_unloaded(self, tmp_path):
         # numpy is the only runtime dependency; loading any of scipy would
         # raise the commands' start-up time and peak memory

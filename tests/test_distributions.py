@@ -89,7 +89,7 @@ class TestPositionJoint:
 def full_grid_position_density(states, weights, basis) -> np.ndarray:
     """sum_n w_n |S^T C_n S|^2 over the whole Wannier grid (S the site
     matrix): the joint position density computed without symmetry."""
-    site_matrix = basis.site_matrix
+    site_matrix = basis.site_matrix()
     return sum(
         w * np.abs(site_matrix.T @ s.amplitudes @ site_matrix) ** 2
         for s, w in zip(states, weights)
@@ -295,6 +295,29 @@ class TestCombinedMarginal:
         first = -(n - 1) * 0.01 if sign < 0 else 2 * axis[0]
         assert marginal.grid[0] == pytest.approx(first)
         assert marginal.grid.size == 2 * n - 1
+
+
+def unequal_grid_joint(n1: int, n2: int) -> dist.JointDistribution:
+    """Uniform joint of mass 1 on 0.1 steps along axis 1, 0.2 along axis 2."""
+    axis1, axis2 = 0.1 * np.arange(n1), 0.2 * np.arange(n2)
+    density = np.full((n1, n2), 1.0 / (n1 * n2 * 0.1 * 0.2))
+    return dist.JointDistribution(axis1, axis2, density, "position")
+
+
+class TestUnequalGrids:
+    def test_axis_marginals_integrate_each_other_axis(self):
+        joint = unequal_grid_joint(11, 41)
+        assert joint.mass == pytest.approx(1.0, rel=1e-12)
+        for atom, step in ((1, 0.1), (2, 0.2)):
+            marginal = dist.axis_marginal(joint, atom)
+            assert np.sum(marginal.density) * step == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(11, 41), (21, 21)])
+    def test_sum_and_difference_need_one_grid(self, shape):
+        joint = unequal_grid_joint(*shape)
+        for marginal in (dist.difference_marginal, dist.sum_marginal):
+            with pytest.raises(ValueError, match="same grid on both axes"):
+                marginal(joint)
 
 
 class TestMomentumJoint:
@@ -570,22 +593,3 @@ class TestThermalFormulas:
             for t in (5e-9, 2e-8, 1e-7, 2e-7)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
-
-
-class TestGaussianReference:
-    def test_normalization(self):
-        ref = dist.GaussianEprReference(0.2, 3.0)
-        x = np.linspace(-12, 12, 601)
-        density = ref.position_density(x[:, None], x[None, :])
-        mass = np.trapezoid(np.trapezoid(density, x, axis=1), x)
-        assert mass == pytest.approx(1.0, abs=1e-6)
-        p = np.linspace(-30, 30, 801)
-        pmass = np.trapezoid(
-            np.trapezoid(ref.momentum_density(p[:, None], p[None, :]), p, axis=1), p
-        )
-        assert pmass == pytest.approx(1.0, abs=1e-6)
-
-    def test_momentum_widths_are_inverse(self):
-        ref = dist.GaussianEprReference(0.2, 5.0)
-        assert ref.dp_minus == pytest.approx(5.0, rel=1e-12)
-        assert ref.dp_plus == pytest.approx(0.2, rel=1e-12)
