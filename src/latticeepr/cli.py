@@ -454,17 +454,18 @@ def cmd_spectrum(
                 f"spectrum sweeps support vdd or vhop, got {parameter!r}"
             )
         points = [(parameter, _vary_model(config, model, parameter, v)) for v in values]
-    blocks = []
+    blocks, residual = [], 0.0
     for parameter, varied in points:
         value = varied.vdd if parameter == "vdd" else varied.hop
         spectrum = two_atom.diagonalize(two_atom.build(varied))
         blocks.append(RowBlock((parameter, value), enumerate(spectrum.eigenvalues.tolist())))
+        residual = max(residual, spectrum.eigenpair_residual)
     write_csv(
         out / "spectrum.csv",
         ["parameter", "value", "index", "energy_erec"],
         blocks,
     )
-    return {"outputs": ["spectrum.csv"]}
+    return {"outputs": ["spectrum.csv"], "eigenpair_residual_erec": residual}
 
 
 def cmd_dist(config: ExperimentConfig, out: Path) -> dict:
@@ -522,6 +523,7 @@ def cmd_dist(config: ExperimentConfig, out: Path) -> dict:
         "momentum_mass": mom.mass,
         "split_gap_erec": spectrum.split_gap,
         "tight_binding_valid": model.tight_binding_valid,
+        "eigenpair_residual_erec": spectrum.eigenpair_residual,
     }
 
 

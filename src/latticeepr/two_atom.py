@@ -306,7 +306,9 @@ class SpectrumResult:
     eigenvalues that lie below their own block's continuum edge.
     ``order[i]`` is the flat (block, column) index of the i-th eigenvalue,
     over every block; on the ring, block N - m is solved block m in the
-    gauge g(r) -> (-1)^r g(r)."""
+    gauge g(r) -> (-1)^r g(r).  ``eigenpair_residual`` is the largest
+    |B v - v w| over the solved blocks B (E_rec), which ``diagonalize``
+    keeps at most 1e-8 of the largest |eigenvalue|."""
 
     eigenvalues: np.ndarray
     block_vectors: np.ndarray | tuple  # eigenvectors in columns, per solved block
@@ -314,6 +316,7 @@ class SpectrumResult:
     order: np.ndarray
     site_count: int
     diatom_band: np.ndarray
+    eigenpair_residual: float
 
     def state(self, index: int) -> TwoAtomState:
         """The ``index``-th eigenstate in the product basis."""
@@ -385,6 +388,7 @@ def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
         order=order,
         site_count=hamiltonian.site_count,
         diatom_band=np.flatnonzero(bound),
+        eigenpair_residual=float(worst),
     )
 
 

@@ -161,18 +161,26 @@ def write_matrix_oracle(path, joint, comment) -> None:
             f.write("\n\n")
 
 
-def gathered_momentum_density(states, weights, basis, grid=None) -> np.ndarray:
-    """The thermal momentum density as one n_p x n_p array: the M x M
-    weighted FFT power gathered onto the grid and multiplied by the
-    envelope, (P[k_i, k_j] env_i) env_j (the reference for the factored
+def per_state_momentum_power(states, weights, m: int) -> np.ndarray:
+    """The M x M weighted FFT power, one zero-padded ``fft2`` per state
+    added as ``weight * (re^2 + im^2)`` (the reference for the power of
     ``thermal_momentum_joint``)."""
-    p = distributions.default_momentum_grid(basis) if grid is None else np.asarray(grid, float)
-    k, m = band_structure.fourier_indices(p, states[0].site_count)
-    k %= m
     power = np.zeros((m, m))
     for state, weight in zip(states, weights):
         structure = np.fft.fft2(state.amplitudes, s=(m, m))
         power += weight * (structure.real**2 + structure.imag**2)
+    return power
+
+
+def gathered_momentum_density(power, basis, grid=None) -> np.ndarray:
+    """The momentum density of the M x M ``power`` as one n_p x n_p array:
+    the power gathered onto the grid and multiplied by the envelope,
+    (P[k_i, k_j] env_i) env_j (the reference for the factored
+    ``thermal_momentum_joint``)."""
+    p = distributions.default_momentum_grid(basis) if grid is None else np.asarray(grid, float)
+    k, m = band_structure.fourier_indices(p)
+    assert power.shape == (m, m)
+    k %= m
     envelope = np.abs(basis.momentum_transform(p)) ** 2
     density = power[np.ix_(k, k)]
     density *= envelope[:, None]

@@ -404,6 +404,21 @@ class TestArtifacts:
         spectrum = two_atom.diagonalize(two_atom.build(model))
         assert manifest["split_gap_erec"] == spectrum.split_gap > 0
         assert manifest["tight_binding_valid"] is model.tight_binding_valid is True
+        assert manifest["eigenpair_residual_erec"] == spectrum.eigenpair_residual
+        metrics = json.loads((tmp_path / "epr_metrics.json").read_text())
+        assert metrics["dx_minus_converged"] == pytest.approx(0.2099477, abs=1e-7)
+
+    def test_spectrum_manifest_reports_the_largest_residual(self, tmp_path, lithium_config):
+        sweep = "vdd 0:2.5:3"
+        assert cli.main(["--out", str(tmp_path), "spectrum", "--sweep", sweep]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        model = lithium_config.model()
+        residuals = [
+            two_atom.diagonalize(two_atom.build(cli._vary_model(lithium_config, model, "vdd", v)))
+            .eigenpair_residual
+            for v in cli._parse_range(sweep)[1]
+        ]
+        assert manifest["eigenpair_residual_erec"] == max(residuals)
 
     @pytest.mark.parametrize("site_count", [25, 30, 40, 60])
     def test_dist_peak_spacings_are_the_comb_teeth(self, tmp_path, site_count):

@@ -11,6 +11,7 @@ from conftest import (
     gathered_momentum_density,
     lithium_protocol,
     model_for,
+    per_state_momentum_power,
     tiled_ring_position_density,
     wannier_basis,
 )
@@ -204,16 +205,23 @@ class TestRingPositionJoint:
         assert np.max(np.abs(joint.density - want)) <= 1e-14 * np.max(want)
 
 
-def assert_reads_like_array(joint, oracle) -> None:
+def assert_reads_like_array(joint, oracle, axis_rtol: float = 0.0) -> None:
     """Every consumer of ``joint`` gives, bit for bit, what it gave when
     the joint held the ``oracle`` array (the old full-grid expressions on
-    that array); ``mass`` agrees to a relative 1e-13."""
+    that array), except the single-axis marginals, which agree to
+    ``axis_rtol`` of their maximum (a factored momentum joint sums its
+    factors, not its rows); ``mass`` agrees to a relative 1e-13."""
     n = joint.axis1.size
     step = joint.axis1[1] - joint.axis1[0]
     assert np.array_equal(dist.difference_marginal(joint).density, diagonal_sums(oracle, -1) * step)
     assert np.array_equal(dist.sum_marginal(joint).density, diagonal_sums(oracle, +1) * step)
-    assert np.array_equal(dist.axis_marginal(joint, 1).density, oracle.sum(axis=1) * step)
-    assert np.array_equal(dist.axis_marginal(joint, 2).density, oracle.sum(axis=0) * step)
+    stride = cli.plot_stride(n)
+    for read, array in ((joint, oracle), (cli.decimate_joint(joint), oracle[::stride, ::stride])):
+        cell = read.axis1[1] - read.axis1[0]
+        for atom, sums in ((1, array.sum(axis=1)), (2, array.sum(axis=0))):
+            got, want = dist.axis_marginal(read, atom).density, sums * cell
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= axis_rtol * np.max(want), atom
     middle = n // 2
     bin_width = 4.5 * step
     inside = np.abs(joint.axis1 - joint.axis1[middle]) <= bin_width / 2.0
@@ -225,10 +233,32 @@ def assert_reads_like_array(joint, oracle) -> None:
         binned = oracle[inside].sum(axis=0) if which == 1 else oracle[:, inside].sum(axis=1)
         got = dist.conditional(joint, joint.axis1[middle], which_atom=which, bin_width=bin_width)
         assert np.array_equal(got.density, binned / (np.sum(binned) * step)), which
-    stride = cli.plot_stride(n)
     assert np.array_equal(cli.decimate_joint(joint).density, oracle[::stride, ::stride])
     assert joint.mass == pytest.approx(np.sum(oracle) * joint.cell_area, rel=1e-13)
     assert np.array_equal(joint.density, oracle)
+
+
+def assert_power_matches_per_state(joint, states, weights, rtol: float = 1e-13) -> None:
+    """The joint's power is the per-state FFT power to ``rtol`` of its
+    maximum (0: bit for bit)."""
+    power = joint._rows.power
+    want = per_state_momentum_power(states, weights, power.shape[0])
+    assert np.max(np.abs(power - want)) <= rtol * np.max(want)
+
+
+def row_transforms(monkeypatch) -> list:
+    """Records the number of rows of each transform along axis 1 that
+    ``np.fft.fft`` makes."""
+    calls = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        if kwargs.get("axis") == 1:
+            calls.append(np.shape(a)[0])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    return calls
 
 
 class TestStreamedJoints:
@@ -247,7 +277,9 @@ class TestStreamedJoints:
         states, weights, _ = lithium_ring_mixture(n, "momentum")
         joint = dist.thermal_momentum_joint(states, weights, basis)
         assert joint._rows.power.shape == (8 * n, 8 * n)
-        assert_reads_like_array(joint, gathered_momentum_density(states, weights, basis))
+        assert_power_matches_per_state(joint, states, weights)
+        oracle = gathered_momentum_density(joint._rows.power, basis)
+        assert_reads_like_array(joint, oracle, axis_rtol=1e-13)
 
     def test_wrapped_grid_matches_full_grid(self, wannier393):
         # a grid of 2M + 3 points from -1.3 periods wraps past the M x M
@@ -264,8 +296,10 @@ class TestStreamedJoints:
         grid = 2 * np.pi / m * np.arange(first, first + 2 * m + 3)
         joint = dist.thermal_momentum_joint(states, weights, wannier393, grid=grid)
         assert cli.plot_stride(grid.size) == 2
-        oracle = gathered_momentum_density(states, weights, wannier393, grid=grid)
-        assert_reads_like_array(joint, oracle)
+        # states without a K are transformed one by one, as the reference
+        assert_power_matches_per_state(joint, states, weights, rtol=0.0)
+        oracle = gathered_momentum_density(joint._rows.power, wannier393, grid=grid)
+        assert_reads_like_array(joint, oracle, axis_rtol=1e-13)
 
     def test_factors_checked_for_sign(self):
         power = np.ones((4, 4))
@@ -276,6 +310,65 @@ class TestStreamedJoints:
             dist.JointDistribution(axis, axis.copy(), rows, "momentum")
         with pytest.raises(ValueError, match="non-negative"):
             dist.JointDistribution(axis, axis.copy(), dist._RingRows(-np.ones((2, 4))), "position")
+
+
+class TestMomentumTransforms:
+    """The power takes one transform of the N filled rows per state, and
+    one per pair of ring states at K and -K."""
+
+    @pytest.mark.parametrize("m", [10, 37, 160])
+    def test_two_stage_transform_is_fft2(self, m):
+        n = 10
+        rng = np.random.default_rng(m)
+        amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        out = np.full((m, m), 7.0 + 7.0j)  # rows past N are zeroed
+        got = dist._structure_factor(amp, out)
+        assert got is out
+        assert np.array_equal(got, np.fft.fft2(amp, s=(m, m)))
+
+    @pytest.mark.parametrize("n", [25, 30])
+    def test_one_transform_per_pair(self, n, monkeypatch):
+        # K = 0, K = pi (even N) and one state of each +-K pair: N//2 + 1
+        states, weights, _ = lithium_ring_mixture(n, "momentum")
+        assert len(states) == n
+        basis = wannier_basis(13.4, site_count=n, points_per_cell=32)
+        calls = row_transforms(monkeypatch)
+        joint = dist.thermal_momentum_joint(states, weights, basis)
+        assert len(calls) == n // 2 + 1
+        assert set(calls) == {n}
+        assert_power_matches_per_state(joint, states, weights)
+
+    def test_unpaired_states_keep_per_state_power(self, wannier393, monkeypatch):
+        # states at K and 2 pi - K whose amplitudes are not conjugate, or
+        # whose weights differ, take a transform each, in the given order
+        n = 10
+        k = 2 * np.pi * 3 / n
+        rng = np.random.default_rng(27)
+        amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        amp /= np.linalg.norm(amp)
+        states = [
+            ta.TwoAtomState(amp, k),
+            ta.TwoAtomState(amp.conj() * np.exp(0.3j), 2 * np.pi - k),
+            ta.TwoAtomState(amp.conj(), 2 * np.pi - k),
+        ]
+        weights = np.array([0.4, 0.4, 0.2])
+        calls = row_transforms(monkeypatch)
+        joint = dist.thermal_momentum_joint(states, weights, wannier393)
+        assert len(calls) == 3
+        assert_power_matches_per_state(joint, states, weights, rtol=0.0)
+
+    def test_zero_temperature_single_state(self):
+        from latticeepr.parameters import lithium_default
+
+        config = lithium_default()
+        model = config.model(boundary="periodic")
+        spectrum = diagonalized(model.hop, model.vdd, config.site_count)
+        thermal = ta.thermal_state(spectrum, 0.0, model.recoil_energy)
+        states = thermal.states(spectrum)
+        assert len(states) == 1
+        basis = wannier_basis(13.4, site_count=config.site_count, points_per_cell=32)
+        joint = dist.thermal_momentum_joint(states, thermal.weights, basis)
+        assert_power_matches_per_state(joint, states, thermal.weights, rtol=0.0)
 
 
 class TestCombinedMarginal:
@@ -554,6 +647,53 @@ class TestEprMetrics:
         pos = dist.position_joint(fig7a_state, wannier393)
         with pytest.raises(ValueError):
             dist.epr_metrics(pos, pos)
+
+
+class TestCubicCrossing:
+    """``cubic_peak_hwhm`` takes each half-height crossing from the cubic
+    through the 4 samples around it (``dx_minus_converged``)."""
+
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    def test_error_falls_faster_than_linear(self, shape):
+        # HWHM 0.97, so the crossings fall between grid points; the error
+        # of the linear crossing falls as step^2, that of the cubic as step^4
+        hwhm = 0.97
+        steps = np.array([0.2, 0.1, 0.05, 0.025])
+        linear, cubic = [], []
+        for step in steps:
+            grid = step * np.arange(-round(12 / step), round(12 / step) + 1)
+            if shape == "lorentzian":
+                density = 1.0 / (1.0 + (grid / hwhm) ** 2)
+            else:
+                density = np.exp(-np.log(2.0) * (grid / hwhm) ** 2)
+            marginal = dist.Marginal(grid, density)
+            linear.append(abs(dist.central_peak_width(marginal).hwhm - hwhm))
+            cubic.append(abs(dist.cubic_peak_hwhm(marginal) - hwhm))
+        assert np.all(np.array(cubic) < np.array(linear))
+        linear_order = np.polyfit(np.log(steps), np.log(linear), 1)[0]
+        cubic_order = np.polyfit(np.log(steps), np.log(cubic), 1)[0]
+        assert linear_order < 2.5
+        assert cubic_order > 3.5
+
+    def test_lithium_dx_minus_converged_at_32_points_per_cell(self):
+        states, weights, _ = lithium_ring_mixture(25)
+        values = {}
+        for ppc in (32, 128):
+            basis = wannier_basis(13.4, site_count=25, points_per_cell=ppc)
+            diff = dist.difference_marginal(dist.thermal_position_joint(states, weights, basis))
+            values[ppc] = dist.cubic_peak_hwhm(diff), dist.central_peak_width(diff).hwhm
+        (cubic, linear), (fine, _) = values[32], values[128]
+        assert cubic == pytest.approx(fine, rel=1e-4)
+        assert cubic == pytest.approx(0.2099477, abs=1e-7)
+        # the linear crossing reads 8.3e-4 high at 32 points per cell
+        assert linear - fine > 5e-4 * fine
+
+    def test_epr_metrics_reports_both_crossings(self, fig7a_state, wannier393):
+        pos = dist.position_joint(fig7a_state, wannier393)
+        metrics = dist.epr_metrics(pos, dist.momentum_joint(fig7a_state, wannier393))
+        diff = dist.difference_marginal(pos)
+        assert metrics.dx_minus == dist.central_peak_width(diff).hwhm
+        assert metrics.dx_minus_converged == dist.cubic_peak_hwhm(diff)
 
 
 class TestThermalFormulas:

@@ -92,6 +92,13 @@ class TestDiagonalize:
             residual = matrix @ vec - spectrum.eigenvalues[i] * vec
             assert np.max(np.abs(residual)) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_eigenpair_residual_kept(self, lithium_config, boundary):
+        spectrum = ta.diagonalize(ta.build(lithium_config.model(boundary=boundary)))
+        scale = np.max(np.abs(spectrum.eigenvalues))
+        assert np.isfinite(spectrum.eigenpair_residual)
+        assert 0.0 < spectrum.eigenpair_residual <= 1e-8 * scale
+
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(
         site_count=st.integers(3, 12),
@@ -325,7 +332,7 @@ class TestTimeReversal:
         blocks = solved[mirror] * sign[:, :, None] * sign[:, None, :]
         vectors = vecs[mirror] * sign[:, :, None]
         every = np.max(np.abs(blocks @ vectors - vectors * vals[:, None, :]))
-        assert every == worst
+        assert every == worst == spectrum.eigenpair_residual
         # and onto the block built from the partner's own K
         direct = every_ring_block(ham)
         assert np.max(np.abs(blocks - direct)) <= 1e-15 * abs(ham.hop)
