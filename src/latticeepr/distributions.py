@@ -498,15 +498,16 @@ def central_peak_width(marginal: Marginal, near: float = 0.0) -> PeakWidth:
     return PeakWidth(hwhm=float(hwhm), center=float(grid[ip]), sigma=sigma)
 
 
-def cubic_peak_hwhm(marginal: Marginal, near: float = 0.0) -> float:
-    """Half-width at half-maximum of the peak ``central_peak_width``
-    measures, with each half-height crossing taken from the cubic through
-    the 4 samples around it (Lagrange): the root of that cubic minus half
-    the height on the bracketing interval, the one nearest the peak's
-    side when there are several.  Its error falls as the fourth power of
-    the grid step, the linear crossing's as the square."""
+def cubic_peak_hwhm(marginal: Marginal) -> float:
+    """Half-width at half-maximum of the peak nearest 0, the one
+    ``central_peak_width`` measures by default, with each half-height
+    crossing taken from the cubic through the 4 samples around it
+    (Lagrange): the root of that cubic minus half the height on the
+    bracketing interval, the one nearest the peak's side when there are
+    several.  Its error falls as the fourth power of the grid step, the
+    linear crossing's as the square."""
     grid, dens = marginal.grid, marginal.density
-    ip, brackets = _half_height_brackets(marginal, near)
+    ip, brackets = _half_height_brackets(marginal, 0.0)
     half = dens[ip] / 2.0
     left, right = (_cubic_crossing(grid, dens - half, i, j) for i, j in brackets)
     return float(0.5 * (right - left))
