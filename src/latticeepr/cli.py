@@ -527,14 +527,19 @@ def cmd_dist(config: ExperimentConfig, out: Path) -> dict:
     }
 
 
+def _tilt(species: str, slope: float) -> tuple[float, float]:
+    """The slopes felt by atom 1 and by atom 2 when ``species`` (first,
+    second or both) is tilted by ``slope`` E_rec per site."""
+    return (0.0 if species == "second" else slope, 0.0 if species == "first" else slope)
+
+
 def _protocol_trace(
     config: ExperimentConfig, model: ModelParams, slope: float, times
 ) -> tuple[two_atom.TwoAtomState, protocol.ProtocolTrace]:
     """Initial state and trace of the config's separation protocol on
     ``model`` under a tilt of ``slope`` E_rec per site, at ``times`` (s)."""
     prot = config.protocol
-    tilt = two_atom.ExternalPotential.linear(slope, species=prot.tilt_species)
-    hamiltonian = two_atom.build(model, tilt)
+    hamiltonian = two_atom.build(model, _tilt(prot.tilt_species, slope))
     psi0 = protocol.initial_state(prot.sigma_e_sites, prot.center_site, config.site_count)
     trace = protocol.evolve(
         psi0,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .band_structure import WannierBasis, fourier_indices
 from .constants import HBAR, KB
@@ -26,23 +27,13 @@ _BLOCK_VALUES = 1 << 16  # values per row block a consumer reads: 512 kB
 
 
 class _Rows:
-    """The density of a joint, handed out in row blocks.  ``factors`` are
-    the arrays it is made of, which must be non-negative."""
+    """The density of a joint, handed out in row blocks: ``rows(start,
+    stop)`` is density[start:stop], ``strided(step)`` the rows of
+    density[::step, ::step] and ``total()`` the sum of the density.
+    ``factors`` are the arrays it is made of, which must be non-negative."""
 
     shape: tuple[int, int]
     factors: tuple[np.ndarray, ...]
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """density[start:stop]"""
-        raise NotImplementedError
-
-    def strided(self, step: int) -> _Rows:
-        """The rows of density[::step, ::step]."""
-        return _StridedRows(self, step)
-
-    def total(self) -> float:
-        """Sum of the density."""
-        return sum(np.sum(self.rows(i, i + 1)) for i in range(self.shape[0]))
 
 
 class _StoredRows(_Rows):
@@ -98,46 +89,33 @@ class _MomentumRows(_Rows):
 
 
 class _RingRows(_Rows):
-    """The ``ppc x G`` strip of the rows of cell 0; row i is row i mod ppc
-    of the strip rolled by the i - i mod ppc points of the cells before."""
+    """Every ``step``-th row and column of the density whose row i is row
+    c = i mod ppc of the ``ppc x G`` strip of cell 0 moved i - c points
+    along x2.  The strip is kept laid twice end to end, so that row is the
+    window of G points that starts G - (i - c) points in."""
 
-    def __init__(self, strip: np.ndarray):
-        self.strip = strip
-        self.shape = (strip.shape[1], strip.shape[1])
-        self.factors = (strip,)
+    def __init__(self, strip: np.ndarray, step: int = 1):
+        size = strip.shape[1]
+        pair = np.concatenate((strip, strip), axis=1)
+        self.strip, self.step = pair[:, :size], step
+        self.windows = sliding_window_view(pair, size, axis=1)
+        self.shape = (-(-size // step),) * 2
+        self.factors = (self.strip,)
 
     def rows(self, start, stop):
         ppc, size = self.strip.shape
-        block = np.empty((stop - start, size))
-        first = start
-        while first < stop:  # one cell's rows at a time
-            shift = first - first % ppc
-            last = min(stop, shift + ppc)
-            cell = block[first - start : last - start]
-            part = self.strip[first - shift : last - shift]
-            cell[:, shift:] = part[:, : size - shift]
-            cell[:, :shift] = part[:, size - shift :]
-            first = last
-        return block
+        i = np.arange(start, stop) * self.step
+        cell = i % ppc
+        return self.windows[cell, size - (i - cell), :: self.step]
+
+    def strided(self, step):
+        return _RingRows(self.strip, self.step * step)
 
     def total(self) -> float:
-        # every cell's row block is the strip, rolled
+        if self.step > 1:
+            return np.sum(self.rows(0, self.shape[0]))
+        # every cell's row block is the strip, moved
         return np.sum(self.strip) * (self.shape[0] // self.strip.shape[0])
-
-
-class _StridedRows(_Rows):
-    """density[::step, ::step] of ``base``, one base row at a time."""
-
-    def __init__(self, base: _Rows, step: int):
-        self.base, self.step = base, step
-        self.shape = tuple(-(-n // step) for n in base.shape)
-        self.factors = base.factors
-
-    def rows(self, start, stop):
-        block = np.empty((stop - start, self.shape[1]))
-        for i, row in enumerate(range(start * self.step, stop * self.step, self.step)):
-            block[i] = self.base.rows(row, row + 1)[0, :: self.step]
-        return block
 
 
 class JointDistribution:
@@ -231,8 +209,8 @@ def thermal_position_joint(
     both atoms move one cell: chi_j is chi_0 moved j cells, so
     psi(x1 + 1, x2 + 1) = e^{iK} psi(x1, x2).  Then only the
     ``ppc`` rows of x1 in cell 0 are computed, and the joint keeps that
-    strip: row block b of the density is the strip rolled by b cells
-    along x2, built when a consumer reads it.
+    strip: row block b of the density is the strip moved b cells along
+    x2, gathered when a consumer reads it (``_RingRows``).
     """
     ppc = basis.points_per_cell
     if ppc < 16:
@@ -438,8 +416,8 @@ class PeakWidth:
     sigma: float       # second moment of the central lobe
 
 
-def _half_height_brackets(marginal: Marginal, near: float) -> tuple[int, list]:
-    """The peak nearest ``near`` (a local maximum above 5% of the highest)
+def _half_height_brackets(marginal: Marginal) -> tuple[int, list]:
+    """The peak nearest 0 (a local maximum above 5% of the highest)
     and, on its left and on its right, the pair (i, j) of adjacent points
     between which the density first falls below half the peak: the last
     point at or above half height and the next one out."""
@@ -451,7 +429,7 @@ def _half_height_brackets(marginal: Marginal, near: float) -> tuple[int, list]:
     peaks = inner[is_max & (dens[inner] > 0.05 * np.max(dens))]
     if peaks.size == 0:
         raise ValueError("no identifiable central peak")
-    ip = peaks[np.argmin(np.abs(grid[peaks] - near))]
+    ip = peaks[np.argmin(np.abs(grid[peaks]))]
     height = dens[ip]
     half = height / 2.0
     brackets = []
@@ -468,8 +446,8 @@ def _half_height_brackets(marginal: Marginal, near: float) -> tuple[int, list]:
     return ip, brackets
 
 
-def central_peak_width(marginal: Marginal, near: float = 0.0) -> PeakWidth:
-    """Half-width at half-maximum of the peak nearest ``near``.
+def central_peak_width(marginal: Marginal) -> PeakWidth:
+    """Half-width at half-maximum of the peak nearest 0.
 
     The peak must be a local maximum; the half-height crossings are found
     by linear interpolation.  ``sigma`` is the second moment of the lobe
@@ -478,7 +456,7 @@ def central_peak_width(marginal: Marginal, near: float = 0.0) -> PeakWidth:
     one tooth, so ``sigma`` measures the tooth and not the envelope.
     """
     grid, dens = marginal.grid, marginal.density
-    ip, brackets = _half_height_brackets(marginal, near)
+    ip, brackets = _half_height_brackets(marginal)
     half = dens[ip] / 2.0
     left, right = (
         grid[i] + (dens[i] - half) / (dens[i] - dens[j]) * (grid[j] - grid[i])
@@ -499,15 +477,14 @@ def central_peak_width(marginal: Marginal, near: float = 0.0) -> PeakWidth:
 
 
 def cubic_peak_hwhm(marginal: Marginal) -> float:
-    """Half-width at half-maximum of the peak nearest 0, the one
-    ``central_peak_width`` measures by default, with each half-height
-    crossing taken from the cubic through the 4 samples around it
-    (Lagrange): the root of that cubic minus half the height on the
+    """Half-width at half-maximum of the peak ``central_peak_width``
+    measures, with each half-height crossing taken from the cubic through
+    the 4 samples around it (Lagrange): the root of that cubic minus half the height on the
     bracketing interval, the one nearest the peak's side when there are
     several.  Its error falls as the fourth power of the grid step, the
     linear crossing's as the square."""
     grid, dens = marginal.grid, marginal.density
-    ip, brackets = _half_height_brackets(marginal, 0.0)
+    ip, brackets = _half_height_brackets(marginal)
     half = dens[ip] / 2.0
     left, right = (_cubic_crossing(grid, dens - half, i, j) for i, j in brackets)
     return float(0.5 * (right - left))

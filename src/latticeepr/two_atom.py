@@ -9,7 +9,7 @@ acts only when the atoms face each other, j == l.
 matrix: on a ring one N x N block per total quasimomentum K = 2 pi m / N
 (Valiente & Petrosyan, J. Phys. B 41, 161002 (2008)), of which only
 m = 0..N//2 are solved as H is real; on an open chain the blocks of even
-and odd atom-swap parity.  A model under a potential is only propagated.
+and odd atom-swap parity.  A tilted model is only propagated.
 """
 
 from __future__ import annotations
@@ -26,38 +26,6 @@ CHEBYSHEV_TAIL = 1e-15
 # a pair-band state lies more than BAND_EDGE_MARGIN * max(1, |edge|) below
 # its block's continuum edge, so that V_dd = 0 binds nothing at rounding level
 BAND_EDGE_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class ExternalPotential:
-    """Per-site external potential added to the lattice Hamiltonian.
-
-    * ``none``: free lattice.
-    * ``linear``: tilt of ``slope`` E_rec per site, potential decreasing
-      toward larger site index; ``species`` selects which atom feels it.
-    """
-
-    kind: str = "none"
-    slope: float = 0.0
-    species: str = "both"
-
-    def __post_init__(self):
-        if self.kind not in ("none", "linear"):
-            raise ValueError(f"unknown external potential kind {self.kind!r}")
-        if self.species not in ("both", "first", "second"):
-            raise ValueError(f"species must be both/first/second, got {self.species!r}")
-        if not np.isfinite(self.slope):
-            raise ValueError("slope must be finite")
-
-    @classmethod
-    def linear(cls, slope: float, species: str = "both") -> "ExternalPotential":
-        return cls(kind="linear", slope=slope, species=species)
-
-    def site_energies(self, site_count: int) -> np.ndarray:
-        """Potential energy per site, E_rec units."""
-        if self.kind == "none":
-            return np.zeros(site_count)
-        return -self.slope * np.arange(site_count, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -105,8 +73,10 @@ class TwoAtomHamiltonian:
 
     ``h`` is the tridiagonal single-atom hop (``single_atom_matrix``); it
     moves one atom at a time.  D is diagonal in the product basis,
-    D_jl = e1_j + e2_l + V_dd delta_jl: the external potential felt by
-    each atom and the interaction on facing sites.  On the N x N amplitude
+    D_jl = -t1 j - t2 l + V_dd delta_jl: the tilt of ``tilt`` = (t1, t2)
+    E_rec per site felt by atom 1 and by atom 2 (the potential falls
+    toward larger site index) and the interaction on facing sites.  On
+    the N x N amplitude
     matrix C, H C = h C + C h + D o C (elementwise product), so H is
     applied without forming any N^2 x N^2 matrix.
     """
@@ -115,16 +85,14 @@ class TwoAtomHamiltonian:
     hop: float
     vdd: float
     boundary: str
-    external: ExternalPotential
+    tilt: tuple[float, float] = (0.0, 0.0)
 
     @cached_property
     def diagonal(self) -> np.ndarray:
         """D_jl, the N x N diagonal of H in the product basis."""
         n = self.site_count
-        site_e = self.external.site_energies(n)
-        e1 = site_e if self.external.species in ("both", "first") else np.zeros(n)
-        e2 = site_e if self.external.species in ("both", "second") else np.zeros(n)
-        diagonal = np.add.outer(e1, e2)
+        j = np.arange(n, dtype=float)
+        diagonal = np.add.outer(-self.tilt[0] * j, -self.tilt[1] * j)
         diagonal[np.diag_indices(n)] += self.vdd  # facing-site states j == l
         diagonal.flags.writeable = False  # cached: H must not change under its users
         return diagonal
@@ -229,16 +197,17 @@ def single_atom_matrix(site_count: int, hop: float, boundary: str) -> np.ndarray
     return m
 
 
-def build(model: ModelParams, external: ExternalPotential | None = None) -> TwoAtomHamiltonian:
-    """Two-atom Hamiltonian of ``model`` plus an optional external potential;
-    ValueError where ``model.tight_binding_valid`` is False."""
+def build(model: ModelParams, tilt: tuple[float, float] = (0.0, 0.0)) -> TwoAtomHamiltonian:
+    """Two-atom Hamiltonian of ``model`` under a tilt of ``tilt`` E_rec per
+    site on atom 1 and on atom 2; ValueError for a slope that is not
+    finite or where ``model.tight_binding_valid`` is False."""
+    if not np.all(np.isfinite(tilt)):
+        raise ValueError(f"tilt slopes must be finite, got {tilt}")
     if not model.tight_binding_valid:
         raise ValueError(
             f"tight-binding model does not hold at lattice depth {model.lattice_depth:.4g} E_rec"
         )
-    return TwoAtomHamiltonian(
-        model.site_count, model.hop, model.vdd, model.boundary, external or ExternalPotential()
-    )
+    return TwoAtomHamiltonian(model.site_count, model.hop, model.vdd, model.boundary, tilt)
 
 
 def _swap_basis(site_count: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +239,7 @@ def _symmetry_blocks(
 ) -> tuple[np.ndarray | list, np.ndarray | None, np.ndarray]:
     """Diagonal blocks of H to solve, the total quasimomentum K of every
     block, and the bottom edge of each solved block's two-free-atom
-    continuum; ValueError under an external potential.
+    continuum; ValueError under a tilt.
 
     On a free ring c_jl = e^{iK(j+l)/2} g(l - j) / sqrt(N) gives one real
     block per K = 2 pi m / N: relative hopping t_K = 2 V_hop cos(K/2),
@@ -283,8 +252,8 @@ def _symmetry_blocks(
     minimum; odd states vanish on facing sites, so none binds.
     """
     n = hamiltonian.site_count
-    if hamiltonian.external.kind != "none":
-        raise ValueError("diagonalize solves free models only; propagate one under a potential")
+    if any(hamiltonian.tilt):  # -0.0 counts as no tilt
+        raise ValueError("diagonalize solves free models only; propagate a tilted one")
     if hamiltonian.boundary != "periodic":
         edge = -4.0 * abs(hamiltonian.hop) * np.cos(np.pi / (n + 1))
         return [_swap_block(hamiltonian, sign) for sign in (1.0, -1.0)], None, np.array([edge])
@@ -357,7 +326,7 @@ class SpectrumResult:
 
 def diagonalize(hamiltonian: TwoAtomHamiltonian) -> SpectrumResult:
     """Full spectrum of a free model by a dense solve of each symmetry
-    block; ValueError under an external potential."""
+    block; ValueError under a tilt."""
     blocks, quasimomenta, edges = _symmetry_blocks(hamiltonian)
     # the ring's blocks are one batch; the two swap blocks differ in size
     batches = [blocks] if quasimomenta is not None else blocks

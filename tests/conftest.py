@@ -240,9 +240,7 @@ def lithium_protocol(site_count: int = 25):
     config = dataclasses.replace(lithium_default(), site_count=site_count)
     prot = config.protocol
     model = config.model(boundary=prot.boundary)
-    tilt = two_atom.ExternalPotential.linear(
-        prot.slope_erec_per_site, species=prot.tilt_species
-    )
+    tilt = cli._tilt(prot.tilt_species, prot.slope_erec_per_site)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         psi0 = protocol.initial_state(prot.sigma_e_sites, prot.center_site, site_count)

@@ -522,6 +522,28 @@ class TestArtifacts:
             want = np.loadtxt(tmp_path / "full.dat")
             assert np.allclose(got, want, rtol=1e-11, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize(
+        "species, tilt",
+        [("first", (0.03, 0.0)), ("second", (0.0, 0.03)), ("both", (0.03, 0.03))],
+        ids=["first", "second", "both"],
+    )
+    def test_protocol_tilts_the_configured_species(self, monkeypatch, species, tilt):
+        # the slope handed to the trace, on the atoms that tilt_species names
+        config = lithium_default()
+        config = dataclasses.replace(
+            config, protocol=dataclasses.replace(config.protocol, tilt_species=species)
+        )
+        built, build = [], two_atom.build
+
+        def recording_build(model, tilt=(0.0, 0.0)):
+            built.append(tilt)
+            return build(model, tilt)
+
+        monkeypatch.setattr(two_atom, "build", recording_build)
+        model = config.model(boundary=config.protocol.boundary)
+        cli._protocol_trace(config, model, 0.03, [0.0])
+        assert built == [tilt]
+
 
 @pytest.fixture(scope="module")
 def real_joints():
@@ -1067,6 +1089,12 @@ class TestExitCodes:
             ("slope_erec_per_site", "nan", "protocol", 2),
             # an envelope centred off the lattice
             ("center_site", "1000", "protocol", 2),
+            # the config is the one place that checks the tilted species
+            ("tilt_species", "third", "protocol", 2),
+            pytest.param(
+                "tilt_species", "third", "sweep slope 0:0.04:2", 2,
+                id="tilt_species-third-sweep-slope-2",
+            ),
         ],
     )
     def test_bad_value_fails_with_exit_code(self, tmp_path, capsys, key, value, command, code):
@@ -1074,9 +1102,13 @@ class TestExitCodes:
         (line,) = [line for line in text.splitlines() if line.startswith(f"{key} = ")]
         path = tmp_path / "bad.ini"
         path.write_text(text.replace(line, f"{key} = {value}"))
-        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), command]) == code
+        args = ["--config", str(path), "--out", str(tmp_path / "out"), *command.split(" ", 1)]
+        assert cli.main(args) == code
         prefix = "config error:" if code == 2 else "numerical error"
-        assert capsys.readouterr().err.startswith(prefix)
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        if key == "tilt_species":
+            assert "tilt_species must be one of" in err
 
     @pytest.mark.parametrize("center", ["25", "30", "1000", "-1"])
     @pytest.mark.parametrize(

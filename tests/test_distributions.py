@@ -205,12 +205,14 @@ class TestRingPositionJoint:
         assert np.max(np.abs(joint.density - want)) <= 1e-14 * np.max(want)
 
 
-def assert_reads_like_array(joint, oracle, axis_rtol: float = 0.0) -> None:
+def assert_reads_like_array(joint, oracle, axis_rtol: float = 0.0, ppc: int = 32) -> None:
     """Every consumer of ``joint`` gives, bit for bit, what it gave when
     the joint held the ``oracle`` array (the old full-grid expressions on
     that array), except the single-axis marginals, which agree to
     ``axis_rtol`` of their maximum (a factored momentum joint sums its
-    factors, not its rows); ``mass`` agrees to a relative 1e-13."""
+    factors, not its rows); ``mass`` agrees to a relative 1e-13.  So does
+    the joint decimated at the plot stride, 2, 7 and ``ppc`` + 1 (a stride
+    that divides no cell and one longer than a cell)."""
     n = joint.axis1.size
     step = joint.axis1[1] - joint.axis1[0]
     assert np.array_equal(dist.difference_marginal(joint).density, diagonal_sums(oracle, -1) * step)
@@ -234,6 +236,10 @@ def assert_reads_like_array(joint, oracle, axis_rtol: float = 0.0) -> None:
         got = dist.conditional(joint, joint.axis1[middle], which_atom=which, bin_width=bin_width)
         assert np.array_equal(got.density, binned / (np.sum(binned) * step)), which
     assert np.array_equal(cli.decimate_joint(joint).density, oracle[::stride, ::stride])
+    for s in (stride, 2, 7, ppc + 1):
+        shown, want = joint.decimated(s), oracle[::s, ::s]
+        assert np.array_equal(np.concatenate([block for _, block in shown.blocks()]), want), s
+        assert shown.mass == pytest.approx(np.sum(want) * shown.cell_area, rel=1e-13), s
     assert joint.mass == pytest.approx(np.sum(oracle) * joint.cell_area, rel=1e-13)
     assert np.array_equal(joint.density, oracle)
 
@@ -272,7 +278,10 @@ class TestStreamedJoints:
         states, weights, _ = lithium_ring_mixture(n)
         joint = dist.thermal_position_joint(states, weights, basis)
         assert isinstance(joint._rows, dist._RingRows)
-        assert_reads_like_array(joint, tiled_ring_position_density(states, weights, basis))
+        oracle = tiled_ring_position_density(states, weights, basis)
+        assert_reads_like_array(joint, oracle, ppc=basis.points_per_cell)
+        stored = dist.JointDistribution(joint.axis1, joint.axis2, oracle, "position")
+        assert_reads_like_array(stored, oracle, ppc=basis.points_per_cell)
 
         states, weights, _ = lithium_ring_mixture(n, "momentum")
         joint = dist.thermal_momentum_joint(states, weights, basis)
@@ -552,8 +561,9 @@ class TestConditional:
         metrics = dist.epr_metrics(pos, mom)
         p_measured = np.pi / 2
         cond = dist.conditional(mom, p_measured, which_atom=1)
-        peak = dist.central_peak_width(cond, near=-p_measured)
-        assert peak.center == pytest.approx(-p_measured, abs=0.1)
+        # the ridge puts the peak at p2 = -p_measured; move it to 0
+        peak = dist.central_peak_width(dist.Marginal(cond.grid + p_measured, cond.density))
+        assert peak.center == pytest.approx(0.0, abs=0.1)
         # local cross-section vs envelope-averaged ridge width: ~20% geometry
         assert peak.hwhm == pytest.approx(metrics.dp_plus, rel=0.25)
         normalized = peak.hwhm / (1.0 / (2 * metrics.dx_minus))

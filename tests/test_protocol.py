@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense, diagonalized, lithium_protocol, model_for, snapshot_at
+from latticeepr import cli
 from latticeepr import protocol as pr
 from latticeepr import two_atom as ta
 from latticeepr.constants import HBAR, KB
@@ -62,11 +63,7 @@ MODELS = dict(
     boundary=st.sampled_from(["open", "periodic"]),
     hop=st.floats(-1.0, 1.0, allow_subnormal=False),
     vdd=st.one_of(st.floats(-4.0, -0.01), st.just(0.0), st.floats(0.01, 4.0)),
-    external=st.builds(
-        ta.ExternalPotential.linear,
-        st.floats(-0.5, 0.5, allow_subnormal=False),
-        st.sampled_from(["first", "second", "both"]),
-    ),
+    tilt=st.tuples(*[st.floats(-0.5, 0.5, allow_subnormal=False)] * 2),
 )
 
 
@@ -118,8 +115,8 @@ class TestMatrixFreeHamiltonian:
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(**MODELS, seed=st.integers(0, 2**32 - 1))
-    def test_apply_matches_dense(self, site_count, boundary, hop, vdd, external, seed):
-        ham = ta.build(model_for(hop, vdd, site_count, boundary), external)
+    def test_apply_matches_dense(self, site_count, boundary, hop, vdd, tilt, seed):
+        ham = ta.build(model_for(hop, vdd, site_count, boundary), tilt)
         state = random_state(site_count, seed)
         expected = dense(ham) @ state.vector()
         assert np.max(np.abs(ham.apply(state.amplitudes).ravel() - expected)) <= 1e-13 * max(
@@ -128,8 +125,8 @@ class TestMatrixFreeHamiltonian:
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(**MODELS)
-    def test_spectral_bounds_enclose_spectrum(self, site_count, boundary, hop, vdd, external):
-        ham = ta.build(model_for(hop, vdd, site_count, boundary), external)
+    def test_spectral_bounds_enclose_spectrum(self, site_count, boundary, hop, vdd, tilt):
+        ham = ta.build(model_for(hop, vdd, site_count, boundary), tilt)
         energies = np.linalg.eigvalsh(dense(ham))
         lo, hi = ham.spectral_bounds()
         slack = 1e-12 * max(1.0, hi - lo)
@@ -197,11 +194,11 @@ class TestEvolve:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_dense_exponential(
-        self, site_count, boundary, hop, vdd, external, times, seed
+        self, site_count, boundary, hop, vdd, tilt, times, seed
     ):
         # psi(t) = expm(-i t H) psi0 for a random state, at times that
         # include 0 and a negative value
-        ham = ta.build(model_for(hop, vdd, site_count, boundary), external)
+        ham = ta.build(model_for(hop, vdd, site_count, boundary), tilt)
         state = random_state(site_count, seed)
         times = sorted([-times[0], 0.0, *times[1:]])
         trace = pr.evolve(state, ham, times)
@@ -348,9 +345,7 @@ class TestSeparationRun:
         # 10x smaller hop -> 100x smaller pair hop -> pair drift drops >= 50x
         config, model, psi0, trace = protocol_run
         frozen_model = dataclasses.replace(model, hop=model.hop / 10)
-        tilt = ta.ExternalPotential.linear(
-            config.protocol.slope_erec_per_site, species=config.protocol.tilt_species
-        )
+        tilt = cli._tilt(config.protocol.tilt_species, config.protocol.slope_erec_per_site)
         frozen = pr.evolve(
             psi0,
             ta.build(frozen_model, tilt),

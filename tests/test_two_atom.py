@@ -262,11 +262,19 @@ class TestOpenChain:
         assert spectrum.eigenvalues.shape == (1600,)
         assert peak < 50 * 2**20
 
-    def test_potential_refused(self):
-        # a model under a potential is propagated, never diagonalized
+    @pytest.mark.parametrize("tilt", [(0.0, 0.0), (-0.0, 0.0)], ids=["zero", "negative-zero"])
+    def test_untilted_solved(self, tilt):
+        # -0.0 counts as no tilt
         for boundary in ("open", "periodic"):
             model = model_for(-0.0881, -0.4693, boundary=boundary)
-            tilted = ta.build(model, ta.ExternalPotential.linear(0.01))
+            free = ta.diagonalize(ta.build(model)).eigenvalues
+            assert np.array_equal(ta.diagonalize(ta.build(model, tilt)).eigenvalues, free)
+
+    @pytest.mark.parametrize("tilt", [(0.01, 0.0), (0.0, 0.01)], ids=["atom1", "atom2"])
+    def test_tilt_refused(self, tilt):
+        # a tilted model is propagated, never diagonalized
+        for boundary in ("open", "periodic"):
+            tilted = ta.build(model_for(-0.0881, -0.4693, boundary=boundary), tilt)
             with pytest.raises(ValueError, match="free models only"):
                 ta.diagonalize(tilted)
 
@@ -465,22 +473,29 @@ class TestThermalState:
             ta.thermal_state(spectrum, -1.0, 1.81e-28)
 
 
-class TestExternalPotential:
-    def test_linear_site_energies(self):
-        pot = ta.ExternalPotential.linear(0.04)
-        energies = pot.site_energies(5)
-        assert np.allclose(energies, -0.04 * np.arange(5))
+class TestTilt:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        site_count=st.integers(3, 10),
+        boundary=st.sampled_from(["open", "periodic"]),
+        vdd=st.floats(-4.0, 4.0),
+        tilt=st.tuples(*[st.floats(-0.5, 0.5, allow_subnormal=False)] * 2),
+    )
+    def test_diagonal_is_the_outer_sum(self, site_count, boundary, vdd, tilt):
+        # D_jl = -t1 j - t2 l + V_dd delta_jl, entry by entry
+        diagonal = ta.build(model_for(-0.1, vdd, site_count, boundary), tilt).diagonal
+        t1, t2 = tilt
+        want = np.array(
+            [
+                [-t1 * j - t2 * l + (vdd if j == l else 0.0) for l in range(site_count)]
+                for j in range(site_count)
+            ]
+        )
+        assert np.array_equal(diagonal, want)
 
-    def test_species_selection(self):
-        pot = ta.ExternalPotential.linear(0.04, species="first")
+    @pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_slope_refused(self, slope):
         model = model_for(-0.1, 0.0, site_count=4, boundary="open")
-        matrix = dense(ta.build(model, pot))
-        diag = np.diag(matrix).reshape(4, 4)
-        # energy depends on the first index only
-        assert np.allclose(diag, diag[:, :1])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ta.ExternalPotential(kind="quartic")
-        with pytest.raises(ValueError):
-            ta.ExternalPotential.linear(0.04, species="third")
+        for tilt in ((slope, 0.0), (0.0, slope)):
+            with pytest.raises(ValueError, match="finite"):
+                ta.build(model, tilt)
