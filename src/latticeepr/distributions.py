@@ -91,13 +91,13 @@ class _MomentumRows(_Rows):
 class _RingRows(_Rows):
     """Every ``step``-th row and column of the density whose row i is row
     c = i mod ppc of the ``ppc x G`` strip of cell 0 moved i - c points
-    along x2.  The strip is kept laid twice end to end, so that row is the
-    window of G points that starts G - (i - c) points in."""
+    along x2.  ``pair`` is the strip laid twice end to end (the strip is
+    its left half), so that row is the window of G points that starts
+    G - (i - c) points in; a decimated joint reads the same windows."""
 
-    def __init__(self, strip: np.ndarray, step: int = 1):
-        size = strip.shape[1]
-        pair = np.concatenate((strip, strip), axis=1)
-        self.strip, self.step = pair[:, :size], step
+    def __init__(self, pair: np.ndarray, step: int = 1):
+        size = pair.shape[1] // 2
+        self.pair, self.strip, self.step = pair, pair[:, :size], step
         self.windows = sliding_window_view(pair, size, axis=1)
         self.shape = (-(-size // step),) * 2
         self.factors = (self.strip,)
@@ -109,7 +109,7 @@ class _RingRows(_Rows):
         return self.windows[cell, size - (i - cell), :: self.step]
 
     def strided(self, step):
-        return _RingRows(self.strip, self.step * step)
+        return _RingRows(self.pair, self.step * step)
 
     def total(self) -> float:
         if self.step > 1:
@@ -123,9 +123,10 @@ class JointDistribution:
 
     ``density`` is the array itself, or the factors it is made of (a
     ``_Rows``).  The ring's thermal position joint keeps the ``ppc x G``
-    strip of cell 0 (``_RingRows``) and the thermal momentum joint the
-    M x M FFT power, the grid's indices into it and the envelope
-    (``_MomentumRows``), so neither holds its G x G or n_p x n_p density.
+    strip of cell 0, laid twice end to end (``_RingRows``), and the
+    thermal momentum joint the M x M FFT power, the grid's indices into it
+    and the envelope (``_MomentumRows``), so neither holds its G x G or
+    n_p x n_p density.
     Every consumer (the marginals, ``conditional``, ``mass``, the matrix
     writer) reads the density in row blocks of at most ``_BLOCK_VALUES``
     values (``blocks``, ``rows``); the ``density`` property builds the
@@ -223,10 +224,12 @@ def thermal_position_joint(
         for state, weight in zip(states, weights):
             density += weight * np.abs(_position_amplitude(state, site_matrix)) ** 2
         return JointDistribution(grid.copy(), grid.copy(), density, "position")
-    strip = np.zeros((ppc, size))
+    pair = np.zeros((ppc, 2 * size))
+    strip = pair[:, :size]
     for state, weight in zip(states, weights):
         strip += weight * np.abs(site_matrix[:, :ppc].T @ state.amplitudes @ site_matrix) ** 2
-    return JointDistribution(grid.copy(), grid.copy(), _RingRows(strip), "position")
+    pair[:, size:] = strip
+    return JointDistribution(grid.copy(), grid.copy(), _RingRows(pair), "position")
 
 
 def default_momentum_grid(basis: WannierBasis) -> np.ndarray:

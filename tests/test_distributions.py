@@ -318,7 +318,7 @@ class TestStreamedJoints:
         with pytest.raises(ValueError, match="non-negative"):
             dist.JointDistribution(axis, axis.copy(), rows, "momentum")
         with pytest.raises(ValueError, match="non-negative"):
-            dist.JointDistribution(axis, axis.copy(), dist._RingRows(-np.ones((2, 4))), "position")
+            dist.JointDistribution(axis, axis.copy(), dist._RingRows(-np.ones((2, 8))), "position")
 
 
 class TestMomentumTransforms:
