@@ -482,10 +482,10 @@ def central_peak_width(marginal: Marginal) -> PeakWidth:
 def cubic_peak_hwhm(marginal: Marginal) -> float:
     """Half-width at half-maximum of the peak ``central_peak_width``
     measures, with each half-height crossing taken from the cubic through
-    the 4 samples around it (Lagrange): the root of that cubic minus half the height on the
-    bracketing interval, the one nearest the peak's side when there are
-    several.  Its error falls as the fourth power of the grid step, the
-    linear crossing's as the square."""
+    the 4 samples around it (Lagrange): the root of that cubic minus half
+    the height on the bracketing interval, the one nearest the peak's side
+    when there are several.  Its error falls as the fourth power of the
+    grid step, the linear crossing's as the square."""
     grid, dens = marginal.grid, marginal.density
     ip, brackets = _half_height_brackets(marginal)
     half = dens[ip] / 2.0

@@ -76,9 +76,8 @@ class TwoAtomHamiltonian:
     D_jl = -t1 j - t2 l + V_dd delta_jl: the tilt of ``tilt`` = (t1, t2)
     E_rec per site felt by atom 1 and by atom 2 (the potential falls
     toward larger site index) and the interaction on facing sites.  On
-    the N x N amplitude
-    matrix C, H C = h C + C h + D o C (elementwise product), so H is
-    applied without forming any N^2 x N^2 matrix.
+    the N x N amplitude matrix C, H C = h C + C h + D o C (elementwise
+    product), so H is applied without forming any N^2 x N^2 matrix.
     """
 
     site_count: int
