@@ -473,6 +473,27 @@ class TestThermalState:
             ta.thermal_state(spectrum, -1.0, 1.81e-28)
 
 
+class TestExternalPotential:
+    # the tilt is the lattice's linear external potential: -s j on site j
+
+    def test_linear_site_energies(self):
+        model = model_for(-0.1, 0.0, site_count=5, boundary="open")
+        diagonal = ta.build(model, (0.04, 0.04)).diagonal
+        assert np.allclose(diagonal[:, 0], -0.04 * np.arange(5))
+        assert np.allclose(diagonal[0, :], -0.04 * np.arange(5))
+
+    def test_species_selection(self):
+        model = model_for(-0.1, 0.0, site_count=4, boundary="open")
+        diag = np.diag(dense(ta.build(model, (0.04, 0.0)))).reshape(4, 4)
+        # energy depends on the first index only
+        assert np.allclose(diag, diag[:, :1])
+        assert not np.allclose(diag, diag[:1, :])
+        diag = np.diag(dense(ta.build(model, (0.0, 0.04)))).reshape(4, 4)
+        # and on the second index only
+        assert np.allclose(diag, diag[:1, :])
+        assert not np.allclose(diag, diag[:, :1])
+
+
 class TestTilt:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(
